@@ -82,16 +82,19 @@ def _copula_chol(structure: str, rho: float, n: int) -> np.ndarray:
 
 @dataclass
 class Panel:
-    """N x T observation array with node labels and a time-origin tag."""
+    """N x T array of finite observations with optional node labels."""
 
     values: np.ndarray
     node_labels: Optional[list] = None
-    t0: Optional[str] = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("panel values must be an N x T array")
+        if not np.all(np.isfinite(self.values)):
+            node, time = np.argwhere(~np.isfinite(self.values))[0]
+            raise ValueError(f"panel cell (node {node}, time {time}) is not finite: "
+                             f"{self.values[node, time]}")
         if self.node_labels is not None and len(self.node_labels) != self.values.shape[0]:
             raise ValueError("node_labels length must match the node count")
 

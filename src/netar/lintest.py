@@ -12,6 +12,12 @@ case) and to Sigma_B = B22 - B21 B11^-1 B12 on the continuous path, where
 errors are i.i.d.  The statistic is referred to a chi-square with as many
 degrees of freedom as tested coordinates; this is unaffected by the
 tested value sitting on the parameter boundary.
+
+The per-time scores and the curvature come from the shared kernel
+qmle._score_parts.  The statistic uses the unprojected partial score
+(the nonlinear-block total, which is the partial score at the constrained
+fit because the linear-block score vanishes there); the projection of
+the linear block lives in Sigma.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .dgp import Panel
-from .model import ModelSpec, hess_elementwise, jac_elementwise
+from .model import ModelSpec, jac_elementwise
 from .netgraph import Network
-from .qmle import FitResult, lagged_design, ols_fit_linear, qmle_fit
+from .qmle import (FitResult, _poisson_parts, _score_parts, lagged_design,
+                   ols_fit_linear, qmle_fit)
 
 __all__ = [
     "ScoreTestResult",
@@ -141,26 +148,14 @@ def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec,
     y_now, y_lag, x_lag = lagged_design(panel, net)
     # alternative evaluated at the constrained point (beta_hat, g = 0)
     at_null = ModelSpec("drift", domain, tuple(beta), (0.0,))
-    jac = jac_elementwise(at_null, x_lag, y_lag)
     lam = beta[0] + beta[1] * x_lag + beta[2] * y_lag
 
     if domain == "count":
-        resid = y_now / lam - 1.0
-        s_t = np.einsum("ant,nt->ta", jac, resid)
-        hess = np.einsum("ant,nt,bnt->ab", jac, y_now / (lam * lam), jac)
-        for row, col, vals in hess_elementwise(at_null, x_lag, y_lag):
-            adj = float(np.sum(resid * vals))
-            hess[row, col] -= adj
-            if row != col:
-                hess[col, row] -= adj
-        hess = 0.5 * (hess + hess.T)
-        opg = s_t.T @ s_t
-        sigma = sigma_correction(hess, opg, 3)
+        s_t, hess = _poisson_parts(at_null, y_now, y_lag, x_lag, lam)
+        sigma = sigma_correction(hess, s_t.T @ s_t, 3)
     else:
-        resid = y_now - lam
-        s_t = np.einsum("ant,nt->ta", jac, resid)
-        opg = s_t.T @ s_t
-        sigma = schur_complement(opg, 3)
+        s_t, _ = _score_parts(jac_elementwise(at_null, x_lag, y_lag), y_now - lam)
+        sigma = schur_complement(s_t.T @ s_t, 3)
 
     partial = s_t.sum(axis=0)[3:]
     stat, _ = _lm_from_parts(partial, sigma)

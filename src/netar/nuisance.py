@@ -9,6 +9,11 @@ where h is the family's nonlinear regressor block:
     stnar  h_it(g) = exp(-g * X^2) * X                       (one column)
     tnar   h_it(g) = (1, X, Y) * 1{X <= g}                   (three columns)
 
+Each grid point's per-time scores and curvature come from the shared
+kernel qmle._score_parts.  Unlike the drift test, the profile projects
+the linear block out of every per-time score (the effective scores of
+LMProfile), so that the bootstrap can perturb them directly.
+
 The supremum or average of the profile is calibrated either by the Davies
 upper bound (scalar smooth nuisance only) or by Hansen's multiplier
 bootstrap, which perturbs the per-time score contributions with a single
@@ -29,7 +34,7 @@ from .dgp import Panel
 from .lintest import chi2_sf, psd_pinv, sigma_correction
 from .model import ModelSpec
 from .netgraph import Network
-from .qmle import FitResult, lagged_design, ols_fit_linear, qmle_fit
+from .qmle import FitResult, _score_parts, lagged_design, ols_fit_linear, qmle_fit
 
 __all__ = [
     "GammaGrid",
@@ -178,19 +183,16 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
         resid = y_now - lam
         curf = None
 
-    ones = np.ones_like(x_lag)
+    z = np.empty((3 + k2,) + x_lag.shape)    # (1, X, Y, h(g)); h refilled per point
+    z[0], z[1], z[2] = 1.0, x_lag, y_lag
     kept_g, kept_lm, kept_scores, kept_pinv, dropped = [], [], [], [], []
     for gamma in grid.values:
         cols = _h_columns(family, gamma, x_lag, y_lag)
         if _degenerate(family, cols):
             dropped.append((float(gamma), "degenerate nonlinear regressors"))
             continue
-        z = np.stack([ones, x_lag, y_lag, *cols])
-        s_t = np.einsum("ant,nt->ta", z, resid)
-        if curf is None:
-            hess = np.einsum("ant,bnt->ab", z, z)
-        else:
-            hess = np.einsum("ant,nt,bnt->ab", z, curf, z)
+        z[3:] = cols
+        s_t, hess = _score_parts(z, resid, curf)
         opg = s_t.T @ s_t
         try:
             sigma = sigma_correction(hess, opg, 3)

@@ -7,6 +7,12 @@ Hessian of the quasi-likelihood and B the outer product of per-time score
 contributions; B captures the cross-sectional dependence the working
 likelihood ignores.
 
+Every score and curvature sum in the package, here and in the drift test
+(lintest) and the profile tests (nuisance), is assembled by one private
+kernel, _score_parts: it returns the unprojected per-time scores s_t and
+the curvature H of a derivative stack.  Projecting the linear block out
+of the partial score is left to the callers that need it.
+
 Time indexing: the first column of a panel conditions the recursion, so
 all sums run over the remaining T-1 time points.
 """
@@ -93,13 +99,40 @@ def _spec_at(spec: ModelSpec, theta) -> ModelSpec:
     return spec if theta is None else spec.with_active(np.asarray(theta, dtype=float))
 
 
-def _panel_mean(spec: ModelSpec, x_lag, y_lag) -> np.ndarray:
-    return mean_elementwise(spec, x_lag, y_lag)
+def _score_parts(cols: np.ndarray, weight: np.ndarray, curv=None, second=None):
+    """Per-time scores and curvature of a quasi-likelihood.
+
+    cols is the (m, N, T-1) stack of mean derivatives, weight the score
+    weight (Y/lam - 1 for the working Poisson likelihood, Y - lam for least
+    squares), curv the curvature weight Y/lam^2 (None for unit weight) and
+    second the hess_elementwise entries, which enter with the score weight.
+    Returns the (T-1) x m scores s_t summed over nodes and the symmetric
+    m x m curvature sum curv d d' - sum weight d2lam.
+    """
+    s_t = np.einsum("ant,nt->ta", cols, weight)
+    flat = cols.reshape(cols.shape[0], -1)
+    hess = (flat if curv is None else flat * curv.reshape(-1)) @ flat.T
+    for row, col, vals in second or ():
+        adj = float(np.sum(weight * vals))
+        hess[row, col] -= adj
+        if row != col:
+            hess[col, row] -= adj
+    return s_t, 0.5 * (hess + hess.T)
 
 
-def _per_time_scores(jac: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """(T-1) x m matrix of score contributions summed over nodes."""
-    return np.einsum("ant,nt->ta", jac, resid)
+def _poisson_parts(sp: ModelSpec, y_now, y_lag, x_lag, lam):
+    """_score_parts of the working Poisson likelihood at intensity lam."""
+    return _score_parts(jac_elementwise(sp, x_lag, y_lag), y_now / lam - 1.0,
+                        y_now / (lam * lam), hess_elementwise(sp, x_lag, y_lag))
+
+
+def _poisson_parts_at(panel: Panel, net: Network, spec: ModelSpec, theta):
+    sp = _spec_at(spec, theta)
+    y_now, y_lag, x_lag = lagged_design(panel, net)
+    lam = mean_elementwise(sp, x_lag, y_lag)
+    if lam.min() <= _LAM_FLOOR:
+        raise ValueError("intensity fell below the admissible floor")
+    return _poisson_parts(sp, y_now, y_lag, x_lag, lam)
 
 
 def poisson_quasi_loglik(panel: Panel, net: Network, spec: ModelSpec,
@@ -109,7 +142,7 @@ def poisson_quasi_loglik(panel: Panel, net: Network, spec: ModelSpec,
     y_now, y_lag, x_lag = lagged_design(panel, net)
     if np.any(panel.values < 0):
         raise ValueError("count panel has negative entries")
-    lam = _panel_mean(sp, x_lag, y_lag)
+    lam = mean_elementwise(sp, x_lag, y_lag)
     if lam.min() <= _LAM_FLOOR:
         raise ValueError("intensity fell below the admissible floor")
     return float(np.sum(np.where(y_now > 0, y_now * np.log(lam), 0.0) - lam))
@@ -118,40 +151,14 @@ def poisson_quasi_loglik(panel: Panel, net: Network, spec: ModelSpec,
 def poisson_score(panel: Panel, net: Network, spec: ModelSpec, theta=None,
                   per_time: bool = False):
     """Gradient sum (Y/lam - 1) dlam/dtheta; per-time rows on request."""
-    sp = _spec_at(spec, theta)
-    y_now, y_lag, x_lag = lagged_design(panel, net)
-    lam = _panel_mean(sp, x_lag, y_lag)
-    if lam.min() <= _LAM_FLOOR:
-        raise ValueError("intensity fell below the admissible floor")
-    jac = jac_elementwise(sp, x_lag, y_lag)
-    resid = y_now / lam - 1.0
-    s_t = _per_time_scores(jac, resid)
+    s_t, _ = _poisson_parts_at(panel, net, spec, theta)
     return (s_t.sum(axis=0), s_t) if per_time else s_t.sum(axis=0)
-
-
-def _poisson_hess_arrays(sp: ModelSpec, jac, y_now, lam, x_lag, y_lag) -> np.ndarray:
-    h = np.einsum("ant,nt,bnt->ab", jac, y_now / (lam * lam), jac)
-    curv = hess_elementwise(sp, x_lag, y_lag)
-    if curv is not None:
-        resid = y_now / lam - 1.0
-        for row, col, vals in curv:
-            adj = float(np.sum(resid * vals))
-            h[row, col] -= adj
-            if row != col:
-                h[col, row] -= adj
-    return 0.5 * (h + h.T)
 
 
 def poisson_hessian(panel: Panel, net: Network, spec: ModelSpec,
                     theta=None) -> np.ndarray:
     """Observed information: sum (Y/lam^2) dd' - sum (Y/lam - 1) d2lam."""
-    sp = _spec_at(spec, theta)
-    y_now, y_lag, x_lag = lagged_design(panel, net)
-    lam = _panel_mean(sp, x_lag, y_lag)
-    if lam.min() <= _LAM_FLOOR:
-        raise ValueError("intensity fell below the admissible floor")
-    jac = jac_elementwise(sp, x_lag, y_lag)
-    return _poisson_hess_arrays(sp, jac, y_now, lam, x_lag, y_lag)
+    return _poisson_parts_at(panel, net, spec, theta)[1]
 
 
 def gaussian_quasi_loglik(panel: Panel, net: Network, spec: ModelSpec,
@@ -159,7 +166,7 @@ def gaussian_quasi_loglik(panel: Panel, net: Network, spec: ModelSpec,
     """-0.5 * sum of squared residuals, so its gradient is dlam'(Y - lam)."""
     sp = _spec_at(spec, theta)
     y_now, y_lag, x_lag = lagged_design(panel, net)
-    resid = y_now - _panel_mean(sp, x_lag, y_lag)
+    resid = y_now - mean_elementwise(sp, x_lag, y_lag)
     return float(-0.5 * np.sum(resid * resid))
 
 
@@ -204,11 +211,8 @@ def ols_fit_linear(panel: Panel, net: Network) -> FitResult:
         raise ValueError("design matrix is rank deficient")
 
     spec = ModelSpec.linear(theta, domain="cont")
-    lam = _panel_mean(spec, x_lag, y_lag)
-    resid = y_now - lam
-    jac = jac_elementwise(spec, x_lag, y_lag)
-    s_t = _per_time_scores(jac, resid)
-    hess = np.einsum("ant,bnt->ab", jac, jac)
+    resid = y_now - mean_elementwise(spec, x_lag, y_lag)
+    s_t, hess = _score_parts(jac_elementwise(spec, x_lag, y_lag), resid)
     opg = s_t.T @ s_t
     cov, se, jitter = sandwich_cov(hess, opg)
     sigma2 = float(np.mean(resid * resid))
@@ -252,7 +256,7 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None,
 
     def loglik_at(t):
         sp = spec.with_active(t)
-        lam = _panel_mean(sp, x_lag, y_lag)
+        lam = mean_elementwise(sp, x_lag, y_lag)
         if lam.min() <= _LAM_FLOOR or not np.all(np.isfinite(lam)):
             return -np.inf, None
         ll = float(np.sum(np.where(y_now > 0, y_now * np.log(lam), 0.0) - lam))
@@ -262,30 +266,33 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None,
     if not np.isfinite(ll):
         raise ValueError("starting value is inadmissible")
 
+    def parts_at(t, lam_t):
+        s_t, hess = _poisson_parts(spec.with_active(t), y_now, y_lag, x_lag, lam_t)
+        return s_t, hess, s_t.sum(axis=0)
+
     jitter_total = 0
     converged = False
     iters = 0
+    parts_theta = None     # the iterate s_t, hess and score belong to
     for iters in range(1, max_iter + 1):
-        sp = spec.with_active(theta)
-        jac = jac_elementwise(sp, x_lag, y_lag)
-        resid = y_now / lam - 1.0
-        score = np.einsum("ant,nt->a", jac, resid)
+        parts_theta = theta
+        s_t, hess, score = parts_at(theta, lam)
         if np.max(np.abs(score)) < score_tol * n_obs:
             converged = True
             break
-        hess = _poisson_hess_arrays(sp, jac, y_now, lam, x_lag, y_lag)
         delta = 1e-8 * np.trace(hess) / hess.shape[0]
+        mat = hess
         step = None
         for attempt in range(3):
             try:
-                step = np.linalg.solve(hess, score)
+                step = np.linalg.solve(mat, score)
                 if np.all(np.isfinite(step)):
                     break
             except np.linalg.LinAlgError:
                 pass
             if attempt == 2:
                 raise np.linalg.LinAlgError("singular hessian after ridge jitter")
-            hess = hess + max(delta, 1e-12) * np.eye(hess.shape[0])
+            mat = mat + max(delta, 1e-12) * np.eye(hess.shape[0])
             jitter_total += 1
 
         scale = 1.0
@@ -305,14 +312,10 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None,
             converged = True
             break
 
-    sp = spec.with_active(theta)
-    jac = jac_elementwise(sp, x_lag, y_lag)
-    resid = y_now / lam - 1.0
-    score = np.einsum("ant,nt->a", jac, resid)
+    if parts_theta is not theta:
+        s_t, hess, score = parts_at(theta, lam)
     if not converged and np.max(np.abs(score)) < score_tol * n_obs:
         converged = True
-    s_t = _per_time_scores(jac, resid)
-    hess = _poisson_hess_arrays(sp, jac, y_now, lam, x_lag, y_lag)
     opg = s_t.T @ s_t
     cov, se, jitter = sandwich_cov(hess, opg)
     if not converged:

@@ -27,7 +27,7 @@ from . import rng
 from .dgp import CopulaSpec, Panel, SimConfig, simulate_count, simulate_gaussian
 from .lintest import lm_test
 from .model import ModelSpec
-from .netgraph import Network, gen_er, gen_sbm, load_edges
+from .netgraph import Network, gen_er, gen_sbm
 from .nuisance import GammaGrid, default_grid, run_profile_test
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "run_mc_study",
     "load_panel_csv",
     "save_panel_csv",
-    "load_network",
     "emit_report",
     "write_raw_draws",
 ]
@@ -262,10 +261,6 @@ def save_panel_csv(panel: Panel, path, counts: Optional[bool] = None) -> None:
         writer.writerow(panel.labels())
         for row in panel.values.T:
             writer.writerow([int(v) if counts else repr(float(v)) for v in row])
-
-
-def load_network(path) -> Network:
-    return load_edges(path)
 
 
 def emit_report(rows, path, fmt: str = "csv", meta: Optional[dict] = None) -> None:

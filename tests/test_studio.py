@@ -6,9 +6,8 @@ import pytest
 
 import netar as na
 from netar.dgp import Panel
-from netar.studio import (Scenario, StudyConfig, emit_report, load_network,
-                          load_panel_csv, run_mc_study, save_panel_csv,
-                          write_raw_draws)
+from netar.studio import (Scenario, StudyConfig, emit_report, load_panel_csv,
+                          run_mc_study, save_panel_csv, write_raw_draws)
 
 
 def _tiny_cfg(reps=6, kind="chi2", domain="cont", **extra):
@@ -148,6 +147,18 @@ def test_panel_csv_shape_validation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2\n")
     with pytest.raises(ValueError):
+        load_panel_csv(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_nonfinite_panel_cell_rejected(tmp_path, bad):
+    vals = np.ones((3, 4))
+    vals[1, 2] = float(bad)
+    with pytest.raises(ValueError, match=r"\(node 1, time 2\) is not finite"):
+        Panel(vals)
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a,b,c\n1,2,3\n1,1,1\n1,{bad},1\n1,1,1\n")
+    with pytest.raises(ValueError, match=r"\(node 1, time 2\) is not finite"):
         load_panel_csv(path)
 
 
