@@ -134,36 +134,51 @@ class SimConfig:
             raise ValueError("T must be >= 1")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not np.isfinite(self.sigma) or self.sigma < 0:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 def stationary_init_linear_gaussian(beta, net: Network, sigma: float):
     """Mean and covariance of the stationary law of the linear Gaussian model.
 
     The mean is b0/(1-b1-b2) per node; the covariance solves
-    S = G S G' + sigma^2 I with G = b1*W + b2*I, found by fixed-point
-    iteration to 1e-10 in max-abs (the N^2 x N^2 Kronecker system is never
-    formed).
+    S = G S G' + sigma^2 I with G = b1*W + b2*I.  S is the series
+    sigma^2 sum_j G^j G'^j, summed by Smith's doubling iteration
+    S <- S + A S A', A <- A^2 from A = G, S = sigma^2 I (Smith 1968,
+    SIAM J. Appl. Math. 16:198): step s adds the terms 2^s <= j < 2^(s+1),
+    and the sum stops when a step adds at most 1e-10 * sigma^2 in max-abs
+    (the N^2 x N^2 Kronecker system is never formed).
     """
     b0, b1, b2 = (float(b) for b in beta)
-    if abs(b1) + abs(b2) >= 1.0:
+    rho = abs(b1) + abs(b2)
+    if rho >= 1.0:
         raise ValueError("stationary initialization needs |b1|+|b2| < 1")
+    sigma = float(sigma)
+    if not np.isfinite(sigma) or sigma < 0:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     n = net.n
     mu = np.full(n, b0 / (1.0 - b1 - b2))
 
-    def gmul(m):
-        return b1 * (net.w @ m) + b2 * m
+    # W has row sums 1 or 0, so ||G^j||_inf <= rho^j, every entry of term j
+    # is at most sigma^2 rho^(2j), and the terms j >= k sum to at most
+    # sigma^2 rho^(2k) / (1 - rho^2), which is below rel_tol * sigma^2 for
+    # k > k_min.  The step that adds the terms from 2^s >= floor(k_min) + 1
+    # on therefore stops the sum.
+    rel_tol = 1e-10
+    k_min = (np.log(rel_tol * (1.0 - rho * rho)) / (2.0 * np.log(rho))
+             if rho > 0.0 else 0.0)
+    steps = int(np.ceil(np.log2(np.floor(k_min) + 1.0))) + 1
 
+    a = b1 * net.w.toarray() + b2 * np.eye(n)
     cov = sigma * sigma * np.eye(n)
-    for _ in range(100_000):
-        nxt = gmul(gmul(cov).T).T + sigma * sigma * np.eye(n)
-        delta = np.max(np.abs(nxt - cov))
-        cov = nxt
-        if delta < 1e-10:
+    for _ in range(steps):
+        delta = a @ cov @ a.T
+        cov += delta
+        if np.max(np.abs(delta)) <= rel_tol * sigma * sigma:
             break
-    else:  # pragma: no cover - contraction guarantees termination
-        raise RuntimeError("Lyapunov fixed point did not converge")
+        a = a @ a
+    else:  # pragma: no cover - by the tail bound the last step stops
+        raise RuntimeError("Lyapunov doubling iteration did not converge")
     cov = 0.5 * (cov + cov.T)
     return mu, cov
 

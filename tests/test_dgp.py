@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy import stats
+from scipy import linalg, stats
 
 import netar as na
 from netar import rng
@@ -45,6 +45,73 @@ def test_stationary_cov_solves_lyapunov_equation(small_net):
 def test_stationary_rejects_unstable_coefficients(small_net):
     with pytest.raises(ValueError):
         stationary_init_linear_gaussian((1.0, 0.6, 0.5), small_net, 1.0)
+
+
+def _hub_graph(n):
+    # every node i >= 1 points to node 0 and to i+1, so column 0 of W sums
+    # to about n/2 and G = b1*W + b2*I is far from normal
+    edges = [(0, 1)] + [(i, 0) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)]
+    return na.row_normalize(edges, n)
+
+
+@pytest.mark.parametrize("case", ["near-unit-root", "hub"])
+def test_stationary_cov_matches_scipy_lyapunov(case):
+    if case == "near-unit-root":
+        net, (b1, b2) = na.gen_sbm(200, 5, seed=3), (0.49, 0.5)
+    else:
+        net, (b1, b2) = _hub_graph(60), (0.6, 0.3)
+        assert net.w.sum(axis=0).max() > 20
+    _, cov = stationary_init_linear_gaussian((1.0, b1, b2), net, 1.0)
+    g = b1 * net.w.toarray() + b2 * np.eye(net.n)
+    ref = linalg.solve_discrete_lyapunov(g, np.eye(net.n))
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(cov - ref)) / scale < 1e-8
+    assert np.max(np.abs(cov - g @ cov @ g.T - np.eye(net.n))) / scale < 1e-9
+
+
+def test_stationary_zero_sigma_gives_zero_cov():
+    net = _hub_graph(60)
+    spec = ModelSpec.linear((1.0, 0.6, 0.3), "cont")
+    _, cov = stationary_init_linear_gaussian(spec.beta, net, 0.0)
+    assert not np.any(cov)
+    panel = simulate_gaussian(spec, net, SimConfig(T=5, seed=0, sigma=0.0, init="stationary"))
+    assert np.allclose(panel.values, 10.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+def test_nonfinite_sigma_rejected(small_net, sigma):
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        SimConfig(T=10, sigma=sigma)
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        stationary_init_linear_gaussian((1.5, 0.4, 0.5), small_net, sigma)
+
+
+# Y_1 and Y_2 of the seed-7 stationary-start panel, recorded with the earlier
+# fixed-point Lyapunov solver: a change to the stream of stationary starts
+# (the draw mu + chol @ xi) shows here
+_PINNED_STATIONARY_PANEL = np.array([
+    [13.291673347276204, 16.511413320983735, 14.457709495505, 13.503043392253607,
+     14.653118493660978, 13.922346561581989, 13.315658927372409, 15.3540523571886,
+     14.591188721136385, 15.654961117264723, 16.99259979068247, 14.152323565981476,
+     12.77032030538295, 15.005767334737321, 15.067755794786905, 16.021202711000605,
+     14.145368913705026, 14.941952973606258, 15.90808144831802, 16.58813010759928,
+     14.275065333684228, 14.213717256698267, 13.924668224314217, 15.927992239199481,
+     14.981384446285823, 14.19925580574427, 12.460389791406264, 14.72861156955034,
+     13.161530331898167, 15.162556239109103],
+    [13.662352462485268, 15.501812192099438, 15.353210723433667, 15.050341757661254,
+     13.948562312369543, 15.287367917527067, 11.632010499390146, 14.30917542128289,
+     16.09663209809799, 16.108374646849374, 14.978862564121581, 15.124291190027964,
+     13.570029890921832, 14.50117578562533, 16.475034085754384, 16.858960685782435,
+     14.953292808829719, 15.095949914071774, 15.941615171735046, 17.167770492565126,
+     15.83513167865152, 13.89870675176183, 14.503957157936348, 14.518107238914114,
+     15.588694222836745, 15.833418746849034, 13.136281199831215, 13.506962182937087,
+     12.64169844342799, 13.566968595679832]]).T
+
+
+def test_stationary_start_stream_is_pinned(small_net):
+    spec = ModelSpec.linear((1.5, 0.4, 0.5), "cont")
+    panel = simulate_gaussian(spec, small_net, SimConfig(T=200, seed=7, init="stationary"))
+    np.testing.assert_allclose(panel.values[:, :2], _PINNED_STATIONARY_PANEL, rtol=1e-8)
 
 
 # gaussian simulation ------------------------------------------------------------
