@@ -18,17 +18,15 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .dgp import CopulaSpec, SimConfig, simulate_count, simulate_gaussian
 from .lintest import lm_test
 from .model import ModelSpec, parse_spec
 from .netgraph import gen_er, gen_sbm, load_edges, network_summary, save_edges
-from .nuisance import GammaGrid, run_profile_test
+from .nuisance import run_profile_test
 from .qmle import ols_fit_linear, qmle_fit
-from .studio import (StudyConfig, emit_report, load_panel_csv, run_mc_study,
-                     save_panel_csv, write_raw_draws)
+from .studio import (StudyConfig, _parse_grid, emit_report, load_panel_csv,
+                     run_mc_study, save_panel_csv, write_raw_draws)
 
 
 def _domain(family: str) -> str:
@@ -47,13 +45,6 @@ def _parse_copula(text: str) -> CopulaSpec:
     if structure is None:
         raise ValueError(f"unknown copula {text!r}")
     return CopulaSpec(structure, float(rho))
-
-
-def _parse_grid(text: str):
-    if text == "auto":
-        return None
-    lo, hi, num = text.split(":")
-    return GammaGrid(np.linspace(float(lo), float(hi), int(num)))
 
 
 def _write_json(payload: dict, path) -> None:

@@ -29,10 +29,9 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .dgp import Panel
-from .model import ModelSpec, jac_elementwise
+from .model import ModelSpec, mean_elementwise
 from .netgraph import Network
-from .qmle import (FitResult, _poisson_parts, _score_parts, lagged_design,
-                   ols_fit_linear, qmle_fit)
+from .qmle import FitResult, _quasi_parts, lagged_design, ols_fit_linear, qmle_fit
 
 __all__ = [
     "ScoreTestResult",
@@ -147,15 +146,12 @@ def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec,
 
     y_now, y_lag, x_lag = lagged_design(panel, net)
     # alternative evaluated at the constrained point (beta_hat, g = 0)
-    at_null = ModelSpec("drift", domain, tuple(beta), (0.0,))
-    lam = beta[0] + beta[1] * x_lag + beta[2] * y_lag
-
-    if domain == "count":
-        s_t, hess = _poisson_parts(at_null, y_now, y_lag, x_lag, lam)
-        sigma = sigma_correction(hess, s_t.T @ s_t, 3)
-    else:
-        s_t, _ = _score_parts(jac_elementwise(at_null, x_lag, y_lag), y_now - lam)
-        sigma = schur_complement(s_t.T @ s_t, 3)
+    at_null = ModelSpec.drift(beta, 0.0, domain)
+    lam = mean_elementwise(ModelSpec.linear(beta, domain), x_lag, y_lag)
+    s_t, hess = _quasi_parts(at_null, y_now, y_lag, x_lag, lam)
+    opg = s_t.T @ s_t
+    sigma = (sigma_correction(hess, opg, 3) if domain == "count"
+             else schur_complement(opg, 3))
 
     partial = s_t.sum(axis=0)[3:]
     stat, _ = _lm_from_parts(partial, sigma)

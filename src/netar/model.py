@@ -39,9 +39,10 @@ __all__ = [
 FAMILIES = ("linear", "drift", "stnar", "tnar")
 DOMAINS = ("count", "cont")
 
-# raw nonlinear-block sizes (g included where the family has one)
-_M2 = {"linear": 0, "drift": 1, "stnar": 2, "tnar": 4}
-# estimable coordinates: linear block plus identifiable nonlinear ones
+# theta2 names by family, g last; these are also parse_spec's keys
+_THETA2 = {"linear": (), "drift": ("gamma",), "stnar": ("alpha", "gamma"),
+           "tnar": ("a0", "a1", "a2", "gamma")}
+# estimable coordinates: the linear block and theta2 up to g, plus g for drift
 _N_ACTIVE = {"linear": 3, "drift": 4, "stnar": 4, "tnar": 6}
 
 
@@ -68,10 +69,10 @@ class ModelSpec:
         object.__setattr__(self, "theta2", theta2)
         if len(beta) != 3:
             raise ValueError("linear block must be (b0, b1, b2)")
-        if len(theta2) != _M2[self.family]:
+        if len(theta2) != len(_THETA2[self.family]):
             raise ValueError(
-                f"{self.family} expects {_M2[self.family]} nonlinear parameter(s), "
-                f"got {len(theta2)}")
+                f"{self.family} expects {len(_THETA2[self.family])} nonlinear "
+                f"parameter(s), got {len(theta2)}")
         if not all(np.isfinite(beta)) or not all(np.isfinite(theta2)):
             raise ValueError("parameters must be finite")
         if self.gamma is not None and self.gamma < 0:
@@ -110,15 +111,8 @@ class ModelSpec:
 
     @property
     def alphas(self) -> tuple:
-        if self.family == "stnar":
-            return (self.theta2[0],)
-        if self.family == "tnar":
-            return self.theta2[:3]
-        return ()
-
-    @property
-    def m2(self) -> int:
-        return _M2[self.family]
+        """Nonlinear effects: theta2 without g (empty for linear and drift)."""
+        return self.theta2[:-1]
 
     @property
     def n_active(self) -> int:
@@ -127,31 +121,15 @@ class ModelSpec:
 
     def active_theta(self) -> np.ndarray:
         """Estimable coordinates, linear block first."""
-        if self.family == "drift":
-            extra = (self.theta2[0],)
-        elif self.family == "stnar":
-            extra = (self.theta2[0],)
-        elif self.family == "tnar":
-            extra = self.theta2[:3]
-        else:
-            extra = ()
-        return np.array(self.beta + extra, dtype=float)
+        return np.array(self.beta + self.theta2[:self.n_active - 3], dtype=float)
 
     def with_active(self, theta: np.ndarray) -> "ModelSpec":
         """Replace the estimable coordinates; g stays fixed."""
         theta = tuple(float(v) for v in theta)
         if len(theta) != self.n_active:
             raise ValueError(f"expected {self.n_active} coordinates")
-        beta, extra = theta[:3], theta[3:]
-        if self.family == "drift":
-            theta2 = (extra[0],)
-        elif self.family == "stnar":
-            theta2 = (extra[0], self.theta2[1])
-        elif self.family == "tnar":
-            theta2 = extra + (self.theta2[3],)
-        else:
-            theta2 = ()
-        return replace(self, beta=beta, theta2=theta2)
+        extra = theta[3:]
+        return replace(self, beta=theta[:3], theta2=extra + self.theta2[len(extra):])
 
 
 # elementwise kernels ----------------------------------------------------------
@@ -162,6 +140,18 @@ def _drift_base(spec: ModelSpec, x: np.ndarray):
     xa = np.abs(x) if spec.domain == "cont" else x
     g = spec.theta2[0]
     return (1.0 + xa) ** (-g), np.log1p(xa)
+
+
+def _h_columns(family: str, g: float, x: np.ndarray, y: np.ndarray) -> list:
+    """Regressors of the stnar or tnar nonlinear block at rate g.
+
+    stnar: exp(-g*X^2)*X; tnar: (1, X, Y) * 1{X <= g}.  g may be any
+    finite value here, as on a profile grid, not only a valid theta2.
+    """
+    if family == "stnar":
+        return [np.exp(-g * x * x) * x]
+    ind = (x <= g).astype(float)
+    return [ind, x * ind, y * ind]
 
 
 def mean_elementwise(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -191,12 +181,7 @@ def jac_elementwise(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray
         b0 = spec.beta[0]
         c, logx = _drift_base(spec, x)
         return np.stack([c, x, y, -b0 * logx * c])
-    if spec.family == "stnar":
-        g = spec.theta2[1]
-        return np.stack([ones, x, y, np.exp(-g * x * x) * x])
-    g = spec.theta2[3]
-    ind = (x <= g).astype(float)
-    return np.stack([ones, x, y, ind, x * ind, y * ind])
+    return np.stack([ones, x, y, *_h_columns(spec.family, spec.gamma, x, y)])
 
 
 def hess_elementwise(spec: ModelSpec, x: np.ndarray, y: np.ndarray):
@@ -304,13 +289,9 @@ def parse_spec(text: str, beta, domain: str) -> ModelSpec:
         for item in rest.split(","):
             k, _, v = item.partition("=")
             kv[k.strip().lower()] = float(v)
-    beta = tuple(float(b) for b in beta)
-    if name == "linear":
-        return ModelSpec.linear(beta, domain)
-    if name == "drift":
-        return ModelSpec.drift(beta, kv["gamma"], domain)
-    if name == "stnar":
-        return ModelSpec.stnar(beta, kv["alpha"], kv["gamma"], domain)
-    if name == "tnar":
-        return ModelSpec.tnar(beta, (kv["a0"], kv["a1"], kv["a2"]), kv["gamma"], domain)
-    raise ValueError(f"unknown model family {name!r}")
+    names = _THETA2.get(name)
+    if names is None:
+        raise ValueError(f"unknown model family {name!r}")
+    if set(kv) != set(names):
+        raise ValueError(f"{name} takes the keys {list(names)}, got {sorted(kv)}")
+    return ModelSpec(name, domain, tuple(beta), tuple(kv[k] for k in names))

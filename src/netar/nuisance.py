@@ -32,9 +32,10 @@ import numpy as np
 from . import rng
 from .dgp import Panel
 from .lintest import chi2_sf, psd_pinv, sigma_correction
-from .model import ModelSpec
+from .model import _N_ACTIVE, ModelSpec, _h_columns, mean_elementwise
 from .netgraph import Network
-from .qmle import FitResult, _score_parts, lagged_design, ols_fit_linear, qmle_fit
+from .qmle import (FitResult, _score_parts, _weights, lagged_design, ols_fit_linear,
+                   qmle_fit)
 
 __all__ = [
     "GammaGrid",
@@ -47,9 +48,6 @@ __all__ = [
     "score_bootstrap",
     "run_profile_test",
 ]
-
-_K2 = {"stnar": 1, "tnar": 3}
-
 
 @dataclass(frozen=True)
 class GammaGrid:
@@ -79,7 +77,11 @@ def default_grid(family: str, panel: Optional[Panel] = None,
     tnar: per-node 10 and 90 percent quantiles of the neighbour averages;
     the extremes are the minimum of the former and maximum of the latter,
     trimmed to the open range of the observed X so the indicator never
-    degenerates.
+    degenerates.  A tnar point within 1e-12*max(1, |g|) of an observed X
+    moves up to the midpoint with the next larger observed X: on count
+    panels X takes values k/out-degree, and whether 1{X <= g} holds for a
+    cell tied with g would depend on how the neighbour average rounded,
+    which changes with the node labelling.
     """
     if family == "stnar":
         lo = 0.05 if lo is None else lo
@@ -90,21 +92,25 @@ def default_grid(family: str, panel: Optional[Panel] = None,
     if panel is None or net is None:
         raise ValueError("the tnar quantile rule needs the panel and network")
     _, _, x_lag = lagged_design(panel, net)
-    if np.ptp(x_lag) <= 1e-12 * max(1.0, float(np.abs(x_lag).max())):
+    q10, q90 = np.quantile(x_lag, (0.10, 0.90), axis=1)
+    xs = np.sort(x_lag, axis=None)
+    if xs[-1] - xs[0] <= 1e-12 * max(1.0, -xs[0], xs[-1]):
         raise ValueError("neighbour averages are constant; no usable threshold range")
-    q10 = np.quantile(x_lag, 0.10, axis=1)
-    q90 = np.quantile(x_lag, 0.90, axis=1)
     lo = float(q10.min()) if lo is None else lo
     hi = float(q90.max()) if hi is None else hi
     pts = np.linspace(lo, hi, num)
-    x_min, x_max = float(x_lag.min()), float(x_lag.max())
-    inside = pts[(pts > x_min) & (pts < x_max)]
-    if inside.size < 1:
+    tol = 1e-12 * np.maximum(1.0, np.abs(pts))
+    tied_from = np.searchsorted(xs, pts - tol)
+    above = np.searchsorted(xs, pts + tol, side="right")    # first X past the tie band
+    inside = (pts > xs[0]) & (above < xs.size)
+    nxt = xs[np.minimum(above, xs.size - 1)]
+    kept = np.unique(np.where(above > tied_from, 0.5 * (pts + nxt), pts)[inside])
+    if kept.size < 1:
         raise ValueError("quantile rule produced no interior threshold values")
-    if inside.size < pts.size:
-        warnings.warn(f"dropped {pts.size - inside.size} threshold grid point(s) "
+    if inside.sum() < pts.size:
+        warnings.warn(f"dropped {pts.size - inside.sum()} threshold grid point(s) "
                       "outside the observed X range")
-    return GammaGrid(inside, source="tnar-quantile")
+    return GammaGrid(kept, source="tnar-quantile")
 
 
 @dataclass
@@ -132,13 +138,6 @@ class LMProfile:
     dropped: list = field(default_factory=list)
 
 
-def _h_columns(family: str, gamma: float, x_lag: np.ndarray, y_lag: np.ndarray):
-    if family == "stnar":
-        return [np.exp(-gamma * x_lag * x_lag) * x_lag]
-    ind = (x_lag <= gamma).astype(float)
-    return [ind, x_lag * ind, y_lag * ind]
-
-
 def _degenerate(family: str, cols) -> bool:
     if family == "tnar":
         ind = cols[0]
@@ -158,9 +157,9 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     Degenerate grid points (vanishing or collinear nonlinear regressors)
     are dropped with a warning rather than failing the whole profile.
     """
-    if family not in _K2:
+    if family not in ("stnar", "tnar"):
         raise ValueError("profiled testing applies to the stnar and tnar families")
-    k2 = _K2[family]
+    k2 = _N_ACTIVE[family] - 3
 
     if null_fit is None:
         if domain == "count":
@@ -173,15 +172,10 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     beta = null_fit.theta_hat
 
     y_now, y_lag, x_lag = lagged_design(panel, net)
-    lam = beta[0] + beta[1] * x_lag + beta[2] * y_lag
-    if domain == "count":
-        if lam.min() <= 0:
-            raise RuntimeError("fitted intensities are not positive")
-        resid = y_now / lam - 1.0
-        curf = y_now / (lam * lam)
-    else:
-        resid = y_now - lam
-        curf = None
+    lam = mean_elementwise(ModelSpec.linear(beta, domain), x_lag, y_lag)
+    if domain == "count" and lam.min() <= 0:
+        raise RuntimeError("fitted intensities are not positive")
+    resid, curf = _weights(domain, y_now, lam)
 
     z = np.empty((3 + k2,) + x_lag.shape)    # (1, X, Y, h(g)); h refilled per point
     z[0], z[1], z[2] = 1.0, x_lag, y_lag

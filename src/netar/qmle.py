@@ -120,45 +120,57 @@ def _score_parts(cols: np.ndarray, weight: np.ndarray, curv=None, second=None):
     return s_t, 0.5 * (hess + hess.T)
 
 
-def _poisson_parts(sp: ModelSpec, y_now, y_lag, x_lag, lam):
-    """_score_parts of the working Poisson likelihood at intensity lam."""
-    return _score_parts(jac_elementwise(sp, x_lag, y_lag), y_now / lam - 1.0,
-                        y_now / (lam * lam), hess_elementwise(sp, x_lag, y_lag))
+def _weights(domain: str, y_now, lam):
+    """Score and curvature weights of the quasi-likelihood at mean lam:
+    (Y/lam - 1, Y/lam^2) for the working Poisson likelihood of counts,
+    (Y - lam, None) for least squares."""
+    if domain == "count":
+        return y_now / lam - 1.0, y_now / (lam * lam)
+    return y_now - lam, None
 
 
-def _poisson_parts_at(panel: Panel, net: Network, spec: ModelSpec, theta):
+def _quasi_parts(sp: ModelSpec, y_now, y_lag, x_lag, lam):
+    """_score_parts of sp's quasi-likelihood at mean lam."""
+    return _score_parts(jac_elementwise(sp, x_lag, y_lag), *_weights(sp.domain, y_now, lam),
+                        hess_elementwise(sp, x_lag, y_lag))
+
+
+def _poisson_loglik(y_now, lam) -> float:
+    return float(np.sum(np.where(y_now > 0, y_now * np.log(lam), 0.0) - lam))
+
+
+def _poisson_design(panel: Panel, net: Network, spec: ModelSpec, theta):
+    """(spec at theta, y_now, y_lag, x_lag, lam), checking lam's floor."""
+    if spec.domain != "count":
+        raise ValueError("the working Poisson likelihood needs a count-domain spec")
     sp = _spec_at(spec, theta)
     y_now, y_lag, x_lag = lagged_design(panel, net)
     lam = mean_elementwise(sp, x_lag, y_lag)
     if lam.min() <= _LAM_FLOOR:
         raise ValueError("intensity fell below the admissible floor")
-    return _poisson_parts(sp, y_now, y_lag, x_lag, lam)
+    return sp, y_now, y_lag, x_lag, lam
 
 
 def poisson_quasi_loglik(panel: Panel, net: Network, spec: ModelSpec,
                          theta=None) -> float:
     """Working Poisson log-likelihood sum(Y log lam - lam) over usable cells."""
-    sp = _spec_at(spec, theta)
-    y_now, y_lag, x_lag = lagged_design(panel, net)
     if np.any(panel.values < 0):
         raise ValueError("count panel has negative entries")
-    lam = mean_elementwise(sp, x_lag, y_lag)
-    if lam.min() <= _LAM_FLOOR:
-        raise ValueError("intensity fell below the admissible floor")
-    return float(np.sum(np.where(y_now > 0, y_now * np.log(lam), 0.0) - lam))
+    _, y_now, _, _, lam = _poisson_design(panel, net, spec, theta)
+    return _poisson_loglik(y_now, lam)
 
 
 def poisson_score(panel: Panel, net: Network, spec: ModelSpec, theta=None,
                   per_time: bool = False):
     """Gradient sum (Y/lam - 1) dlam/dtheta; per-time rows on request."""
-    s_t, _ = _poisson_parts_at(panel, net, spec, theta)
+    s_t, _ = _quasi_parts(*_poisson_design(panel, net, spec, theta))
     return (s_t.sum(axis=0), s_t) if per_time else s_t.sum(axis=0)
 
 
 def poisson_hessian(panel: Panel, net: Network, spec: ModelSpec,
                     theta=None) -> np.ndarray:
     """Observed information: sum (Y/lam^2) dd' - sum (Y/lam - 1) d2lam."""
-    return _poisson_parts_at(panel, net, spec, theta)[1]
+    return _quasi_parts(*_poisson_design(panel, net, spec, theta))[1]
 
 
 def gaussian_quasi_loglik(panel: Panel, net: Network, spec: ModelSpec,
@@ -170,27 +182,30 @@ def gaussian_quasi_loglik(panel: Panel, net: Network, spec: ModelSpec,
     return float(-0.5 * np.sum(resid * resid))
 
 
+def _ridge_solve(mat: np.ndarray, rhs: np.ndarray):
+    """Solve mat x = rhs; while that fails or is not finite, add the ridge
+    max(1e-8 tr(mat)/m, 1e-12) I to mat, at most twice.  Returns (x, ridges
+    added)."""
+    m = mat.shape[0]
+    ridge = max(1e-8 * np.trace(mat) / m, 1e-12) * np.eye(m)
+    for jitter in range(3):
+        try:
+            x = np.linalg.solve(mat, rhs)
+            if np.all(np.isfinite(x)):
+                return x, jitter
+        except np.linalg.LinAlgError:
+            pass
+        mat = mat + ridge
+    raise np.linalg.LinAlgError("hessian is irreparably singular")
+
+
 def sandwich_cov(hessian: np.ndarray, opg: np.ndarray):
     """H^-1 B H^-1 with a recorded ridge fallback for near-singular H.
 
     Returns (cov, se, jitter_count); the NT normalizations of H and B
     cancel, so raw sums are expected.
     """
-    m = hessian.shape[0]
-    h = 0.5 * (hessian + hessian.T)
-    jitter = 0
-    delta = 1e-8 * np.trace(h) / m
-    for attempt in range(3):
-        try:
-            hinv = np.linalg.inv(h)
-            if not np.all(np.isfinite(hinv)):
-                raise np.linalg.LinAlgError
-            break
-        except np.linalg.LinAlgError:
-            if attempt == 2:
-                raise np.linalg.LinAlgError("hessian is irreparably singular")
-            h = h + max(delta, 1e-12) * np.eye(m)
-            jitter += 1
+    hinv, jitter = _ridge_solve(0.5 * (hessian + hessian.T), np.eye(hessian.shape[0]))
     cov = hinv @ opg @ hinv
     cov = 0.5 * (cov + cov.T)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -255,19 +270,17 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None,
                     else _default_start(panel, spec))
 
     def loglik_at(t):
-        sp = spec.with_active(t)
-        lam = mean_elementwise(sp, x_lag, y_lag)
+        lam = mean_elementwise(spec.with_active(t), x_lag, y_lag)
         if lam.min() <= _LAM_FLOOR or not np.all(np.isfinite(lam)):
             return -np.inf, None
-        ll = float(np.sum(np.where(y_now > 0, y_now * np.log(lam), 0.0) - lam))
-        return ll, lam
+        return _poisson_loglik(y_now, lam), lam
 
     ll, lam = loglik_at(theta)
     if not np.isfinite(ll):
         raise ValueError("starting value is inadmissible")
 
     def parts_at(t, lam_t):
-        s_t, hess = _poisson_parts(spec.with_active(t), y_now, y_lag, x_lag, lam_t)
+        s_t, hess = _quasi_parts(spec.with_active(t), y_now, y_lag, x_lag, lam_t)
         return s_t, hess, s_t.sum(axis=0)
 
     jitter_total = 0
@@ -280,20 +293,8 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None,
         if np.max(np.abs(score)) < score_tol * n_obs:
             converged = True
             break
-        delta = 1e-8 * np.trace(hess) / hess.shape[0]
-        mat = hess
-        step = None
-        for attempt in range(3):
-            try:
-                step = np.linalg.solve(mat, score)
-                if np.all(np.isfinite(step)):
-                    break
-            except np.linalg.LinAlgError:
-                pass
-            if attempt == 2:
-                raise np.linalg.LinAlgError("singular hessian after ridge jitter")
-            mat = mat + max(delta, 1e-12) * np.eye(hess.shape[0])
-            jitter_total += 1
+        step, jitter = _ridge_solve(hess, score)
+        jitter_total += jitter
 
         scale = 1.0
         improved = False

@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 
+# keys of the scenario fields that are dicts
+_NESTED_KEYS = {"network": {"model", "k", "p"}, "copula": {"structure", "rho"},
+                "test": {"kind", "alt", "grid", "agg", "J"}}
+
+
 @dataclass
 class Scenario:
     """One Monte Carlo cell: network, DGP, test method and replication count."""
@@ -69,6 +74,11 @@ class Scenario:
         extra = set(d) - known
         if extra:
             raise ValueError(f"unknown scenario fields: {sorted(extra)}")
+        for key, allowed in _NESTED_KEYS.items():
+            extra = set(d.get(key, {})) - allowed
+            if extra:
+                raise ValueError(f"unknown {key} fields: {sorted(extra)}")
+        _fixed_grid(d.get("test", {}).get("grid", "auto"))
         d = dict(d)
         for key in ("theta", "theta2", "levels"):
             if key in d:
@@ -105,16 +115,7 @@ class StudyRow:
 
 
 def _dgp_spec(sc: Scenario) -> ModelSpec:
-    fam = sc.dgp_family
-    if fam == "linear":
-        return ModelSpec.linear(sc.theta, sc.domain)
-    if fam == "drift":
-        return ModelSpec.drift(sc.theta, sc.theta2[0], sc.domain)
-    if fam == "stnar":
-        return ModelSpec.stnar(sc.theta, sc.theta2[0], sc.theta2[1], sc.domain)
-    if fam == "tnar":
-        return ModelSpec.tnar(sc.theta, sc.theta2[:3], sc.theta2[3], sc.domain)
-    raise ValueError(f"unknown DGP family {fam!r}")
+    return ModelSpec(sc.dgp_family, sc.domain, sc.theta, sc.theta2)
 
 
 def _scenario_network(sc: Scenario, base_seed: int, s_idx: int, rep: int) -> Network:
@@ -139,15 +140,24 @@ def _simulate(sc: Scenario, spec: ModelSpec, net: Network, seed: int) -> Panel:
     return simulate_gaussian(spec, net, cfg)
 
 
-def _grid_for(sc: Scenario, panel: Panel, net: Network) -> Optional[GammaGrid]:
-    spec = sc.test.get("grid")
-    family = sc.test.get("alt", "stnar")
-    if spec is None or spec == "auto":
-        return default_grid(family, panel=panel, net=net)
+def _parse_grid(text: str) -> Optional[GammaGrid]:
+    """'auto' (None: the family's default grid) or 'lo:hi:n', n points from lo to hi."""
+    if text == "auto":
+        return None
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"grid must be 'auto' or 'lo:hi:n', got {text!r}")
+    lo, hi, num = parts
+    return GammaGrid(np.linspace(float(lo), float(hi), int(num)))
+
+
+def _fixed_grid(spec) -> Optional[GammaGrid]:
+    """A test's grid entry: None for 'auto', else the grid it fixes."""
+    if isinstance(spec, str):
+        return _parse_grid(spec)
     if isinstance(spec, (list, tuple)):
         return GammaGrid(np.asarray(spec, dtype=float))
-    lo, hi, num = spec
-    return GammaGrid(np.linspace(float(lo), float(hi), int(num)))
+    raise ValueError(f"grid must be 'auto', 'lo:hi:n' or a list of points, got {spec!r}")
 
 
 def _run_replication(sc: Scenario, net: Network, base_seed: int, s_idx: int,
@@ -161,7 +171,9 @@ def _run_replication(sc: Scenario, net: Network, base_seed: int, s_idx: int,
         res = lm_test(panel, net, alt)
         return res.p_value, res.statistic
     family = sc.test.get("alt", "stnar")
-    grid = _grid_for(sc, panel, net)
+    grid = _fixed_grid(sc.test.get("grid", "auto"))
+    if grid is None:
+        grid = default_grid(family, panel=panel, net=net)
     if kind == "davies":
         res = run_profile_test(panel, net, family, sc.domain, grid=grid,
                                method="davies")
@@ -185,13 +197,18 @@ def _worker(args):
         return rep, None, f"{type(exc).__name__}: {exc}"
 
 
-def run_mc_study(cfg: StudyConfig, threads: int = 1, collect_stats: bool = True):
+def run_mc_study(cfg: StudyConfig, threads: int = 1):
     """Run every scenario; returns (rows, raw) where raw maps scenario name
     to the per-replication statistic draws (for QQ-style diagnostics).
 
     Failed replications are excluded and counted; a scenario aborts if
     more than 1 percent of its replications fail.
     """
+    for sc in cfg.scenarios:
+        try:
+            _dgp_spec(sc)
+        except ValueError as exc:
+            raise ValueError(f"scenario {sc.name!r}: {exc}") from None
     rows: list[StudyRow] = []
     raw: dict[str, np.ndarray] = {}
     for s_idx, sc in enumerate(cfg.scenarios):
@@ -224,8 +241,7 @@ def run_mc_study(cfg: StudyConfig, threads: int = 1, collect_stats: bool = True)
         used = sorted(results)
         pvals = np.array([results[r][0] for r in used])
         stats = np.array([results[r][1] for r in used])
-        if collect_stats:
-            raw[sc.name] = stats
+        raw[sc.name] = stats
         elapsed = time.perf_counter() - start
         for level in sc.levels:
             rate = float(np.mean(pvals <= level)) if used else float("nan")

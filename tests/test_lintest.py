@@ -107,17 +107,14 @@ def test_lm_test_basic_output_contract(small_net, cont_panel, count_panel):
         assert res.null_fit.converged
 
 
-_TIE = ("default tnar grid points land on attained count neighbour averages k/deg; "
-        "W @ y rounds them by node order, which flips 1{X <= g} on tied cells")
-
-
 @pytest.mark.parametrize("family, domain, grid", [
     ("drift", "cont", None),
     ("drift", "count", None),
     ("stnar", "cont", "default"),
     # off the lattice k/deg of count neighbour averages, so no cell ties a threshold
     ("tnar", "count", np.linspace(0.5, 4.5, 7) + np.sqrt(2) / 100),
-    pytest.param("tnar", "count", "default", marks=pytest.mark.xfail(strict=True, reason=_TIE)),
+    # the default grid moves points tied with an attained k/deg off the tie
+    ("tnar", "count", "default"),
 ], ids=["drift-cont", "drift-count", "stnar-cont", "tnar-count", "tnar-count-default-grid"])
 def test_lm_statistic_invariant_under_node_permutation(small_net, cont_panel, count_panel,
                                                        rs, family, domain, grid):

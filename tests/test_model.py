@@ -179,3 +179,28 @@ def test_parse_spec_round_trips():
     assert t.theta2 == (0.5, 0.2, 0.1, 1.0)
     with pytest.raises((KeyError, ValueError)):
         parse_spec("spline:k=3", beta, "cont")
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec.linear((1.0, 0.3, 0.2)),
+    ModelSpec.drift((1.0, 0.3, 0.2), 1.5),
+    ModelSpec.stnar((1.0, 0.3, 0.2), 0.4, 0.8),
+    ModelSpec.tnar((1.0, 0.3, 0.2), (0.5, 0.2, 0.1), 1.0),
+], ids=lambda s: s.family)
+def test_active_coordinates_round_trip(spec):
+    theta = spec.active_theta()
+    assert theta.shape == (spec.n_active,)
+    assert spec.with_active(theta) == spec
+    moved = spec.with_active(theta + 0.01)
+    assert np.array_equal(moved.active_theta(), theta + 0.01)
+    assert moved.gamma == (spec.gamma + 0.01 if spec.family == "drift" else spec.gamma)
+
+
+@pytest.mark.parametrize("text, key", [
+    ("stnar:gamma=0.8", "alpha"),
+    ("drift:gamma=1,alpha=2", "alpha"),
+    ("tnar:a0=0.5,a1=0.2,a2=0.1,g=1", "gamma"),
+])
+def test_parse_spec_names_missing_or_unknown_key(text, key):
+    with pytest.raises(ValueError, match=key):
+        parse_spec(text, (1.0, 0.3, 0.2), "cont")

@@ -117,6 +117,36 @@ def test_unknown_scenario_field_rejected():
                             "domain": "cont", "bogus": 1})
 
 
+@pytest.mark.parametrize("field, entry", [
+    ("copula", {"structur": "ar1"}),
+    ("network", {"model": "sbm", "B": 3}),
+    ("test", {"kind": "bootstrap", "alt": "tnar", "B": 99}),
+])
+def test_unknown_nested_field_rejected(field, entry):
+    with pytest.raises(ValueError, match=f"unknown {field} fields"):
+        _tiny_cfg(**{field: entry})
+
+
+@pytest.mark.parametrize("grid", ["0.05:2", "0.05-2-10", 10, {"lo": 0.05}, None])
+def test_malformed_grid_rejected(grid):
+    with pytest.raises(ValueError, match="grid"):
+        _tiny_cfg(kind="davies", test={"kind": "davies", "alt": "stnar", "grid": grid})
+
+
+def test_grid_string_gives_equidistant_points():
+    grid = {"kind": "davies", "alt": "stnar"}
+    as_text = _tiny_cfg(reps=3, test={**grid, "grid": "0.5:1.5:3"})
+    as_list = _tiny_cfg(reps=3, test={**grid, "grid": [0.5, 1.0, 1.5]})
+    assert np.array_equal(run_mc_study(as_text)[1]["tiny"],
+                          run_mc_study(as_list)[1]["tiny"])
+
+
+def test_wrong_theta2_length_fails_the_study():
+    cfg = _tiny_cfg(reps=2, dgp_family="drift", theta2=(1.0, 5.0))
+    with pytest.raises(ValueError, match="'tiny': drift expects 1"):
+        run_mc_study(cfg)
+
+
 def test_failing_scenario_aborts():
     cfg = _tiny_cfg(reps=3)
     cfg.scenarios[0].t = 1  # too short to fit
