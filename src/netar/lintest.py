@@ -63,36 +63,34 @@ def sigma_correction(hess: np.ndarray, opg: np.ndarray, m1: int) -> np.ndarray:
     """Covariance of the partial score at the constrained fit.
 
     hess and opg are the full m x m curvature and outer-product matrices
-    with the linear block leading; m1 is the linear block size.
+    with the linear block leading, or equal-shaped stacks of them; m1 is
+    the linear block size.
     """
-    if hess.shape != opg.shape or hess.shape[0] != hess.shape[1]:
+    if hess.shape != opg.shape or hess.shape[-1] != hess.shape[-2]:
         raise ValueError("hess and opg must be square with equal shapes")
-    if not 0 < m1 < hess.shape[0]:
+    if not 0 < m1 < hess.shape[-1]:
         raise ValueError("linear block size must be interior")
-    h11, h12 = hess[:m1, :m1], hess[:m1, m1:]
-    h21 = hess[m1:, :m1]
-    b11, b12 = opg[:m1, :m1], opg[:m1, m1:]
-    b21, b22 = opg[m1:, :m1], opg[m1:, m1:]
+    h11, h21 = hess[..., :m1, :m1], hess[..., m1:, :m1]
+    b11, b12 = opg[..., :m1, :m1], opg[..., :m1, m1:]
+    b21, b22 = opg[..., m1:, :m1], opg[..., m1:, m1:]
     a = h21 @ np.linalg.inv(h11)
-    out = b22 - a @ b12 - b21 @ a.T + a @ b11 @ a.T
-    return 0.5 * (out + out.T)
+    at = np.swapaxes(a, -1, -2)
+    out = b22 - a @ b12 - b21 @ at + a @ b11 @ at
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def psd_pinv(mat: np.ndarray, rel_cutoff: float = 1e-12):
-    """Pseudo-inverse of a nominally PSD matrix via eigendecomposition.
+    """Pseudo-inverse of a nominally PSD matrix, or of a stack of them, via
+    eigendecomposition.
 
     Eigenvalues below rel_cutoff times the largest (and all negative ones,
     which are sampling noise here) are treated as zero.  Returns
     (pinv, rank).
     """
-    sym = 0.5 * (mat + mat.T)
-    vals, vecs = np.linalg.eigh(sym)
-    top = vals.max(initial=0.0)
-    keep = vals > max(top, 0.0) * rel_cutoff
-    if top <= 0.0:
-        return np.zeros_like(sym), 0
+    vals, vecs = np.linalg.eigh(0.5 * (mat + np.swapaxes(mat, -1, -2)))
+    keep = vals > vals.max(axis=-1, initial=0.0)[..., None] * rel_cutoff
     inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-    return (vecs * inv_vals) @ vecs.T, int(keep.sum())
+    return (vecs * inv_vals[..., None, :]) @ np.swapaxes(vecs, -1, -2), keep.sum(axis=-1)
 
 
 @dataclass
@@ -113,14 +111,6 @@ class ScoreTestResult:
             "method": self.method,
             "null_fit": self.null_fit.to_dict(),
         }
-
-
-def _lm_from_parts(partial_score: np.ndarray, sigma: np.ndarray):
-    pinv, rank = psd_pinv(sigma)
-    if rank < partial_score.shape[0]:
-        raise np.linalg.LinAlgError("score covariance is singular")
-    stat = float(partial_score @ pinv @ partial_score)
-    return max(stat, 0.0), pinv
 
 
 def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec,
@@ -154,8 +144,10 @@ def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec,
              else schur_complement(opg, 3))
 
     partial = s_t.sum(axis=0)[3:]
-    stat, _ = _lm_from_parts(partial, sigma)
-    df = 1
+    pinv, rank = psd_pinv(sigma)
+    if rank < partial.shape[0]:
+        raise np.linalg.LinAlgError("score covariance is singular")
+    stat, df = max(float(partial @ pinv @ partial), 0.0), 1
     return ScoreTestResult(
         statistic=stat, df=df, p_value=chi2_sf(stat, df), method="chi2",
         partial_score=partial, sigma_used=sigma, null_fit=null_fit)

@@ -98,8 +98,7 @@ def row_normalize(edges, n: int, *, self_loops: str = "error") -> Network:
     return Network(n=n, edges=e, out_degree=deg, w=w, zero_degree=zero)
 
 
-def _random_directed(n: int, prob: np.ndarray, seed_parts) -> Network:
-    gen = stream(*seed_parts)
+def _random_directed(n: int, prob: np.ndarray, gen: np.random.Generator) -> Network:
     u = gen.random((n, n))
     adj = u < prob
     np.fill_diagonal(adj, False)
@@ -119,10 +118,7 @@ def gen_sbm(n: int, k: int, seed: int) -> Network:
     blocks = gen.integers(0, k, size=n)
     p_in, p_out = float(n) ** -0.3, 1.0 / n
     prob = np.where(blocks[:, None] == blocks[None, :], p_in, p_out)
-    u = gen.random((n, n))
-    adj = u < prob
-    np.fill_diagonal(adj, False)
-    return row_normalize(np.argwhere(adj), n)
+    return _random_directed(n, prob, gen)
 
 
 def gen_er(n: int, p: float | None = None, seed: int = 0) -> Network:
@@ -134,7 +130,7 @@ def gen_er(n: int, p: float | None = None, seed: int = 0) -> Network:
         p = float(n) ** -0.3
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    return _random_directed(n, np.full((n, n), p), (seed, 0xE6))
+    return _random_directed(n, np.full((n, n), p), stream(seed, 0xE6))
 
 
 def network_summary(net: Network) -> dict:
@@ -153,8 +149,7 @@ def undirected(edges) -> np.ndarray:
     """Expand undirected pairs into both directed orientations, deduplicated."""
     e = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                    dtype=np.int64).reshape(-1, 2)
-    both = np.vstack([e, e[:, ::-1]])
-    return np.unique(both, axis=0)
+    return np.unique(np.vstack([e, e[:, ::-1]]), axis=0)
 
 
 def load_edges(path) -> Network:

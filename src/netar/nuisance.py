@@ -9,10 +9,12 @@ where h is the family's nonlinear regressor block:
     stnar  h_it(g) = exp(-g * X^2) * X                       (one column)
     tnar   h_it(g) = (1, X, Y) * 1{X <= g}                   (three columns)
 
-Each grid point's per-time scores and curvature come from the shared
-kernel qmle._score_parts.  Unlike the drift test, the profile projects
-the linear block out of every per-time score (the effective scores of
-LMProfile), so that the bootstrap can perturb them directly.
+The linear block (scores of 1, X, Y and curvature H11) does not depend
+on g and is computed once; stnar forms only h(g) at each grid point, and
+tnar reads every point's s_t^(2)(g) and H12(g) = H22(g) from cumulative
+sums over one binning of the cells.  Unlike the drift test, the profile
+projects the linear block out of every per-time score (the effective
+scores of LMProfile), so that the bootstrap can perturb them directly.
 
 The supremum or average of the profile is calibrated either by the Davies
 upper bound (scalar smooth nuisance only) or by Hansen's multiplier
@@ -84,9 +86,8 @@ def default_grid(family: str, panel: Optional[Panel] = None,
     which changes with the node labelling.
     """
     if family == "stnar":
-        lo = 0.05 if lo is None else lo
-        hi = 2.0 if hi is None else hi
-        return GammaGrid(np.linspace(lo, hi, num), source="stnar-default")
+        return GammaGrid(np.linspace(0.05 if lo is None else lo, 2.0 if hi is None else hi,
+                                     num), source="stnar-default")
     if family != "tnar":
         raise ValueError("default grids exist for stnar and tnar only")
     if panel is None or net is None:
@@ -138,82 +139,99 @@ class LMProfile:
     dropped: list = field(default_factory=list)
 
 
-def _degenerate(family: str, cols) -> bool:
-    if family == "tnar":
-        ind = cols[0]
-        frac = ind.mean()
-        if frac == 0.0 or frac == 1.0:
-            return True
-    return any(np.max(np.abs(c)) == 0.0 for c in cols)
+def _stnar_blocks(grid, x, y, resid, curf):
+    """The linear block s_t^(1), H11, then stacked over the grid: whether
+    h(g) = exp(-g X^2) X is nonzero, and its s_t^(2), H12 and H22."""
+    z1 = np.stack([np.ones_like(x), x, y])
+    zc = (z1 if curf is None else z1 * curf).reshape(3, -1)
+    parts = []
+    for gamma in grid:
+        (h,) = _h_columns("stnar", gamma, x, y)
+        hf = h.reshape(-1, 1)
+        parts.append((h.any(), np.einsum("nt,nt->t", h, resid)[:, None], zc @ hf,
+                      (zc[0] * hf.T) @ hf))
+    return (*_score_parts(z1, resid, curf), *map(np.array, zip(*parts)))
+
+
+def _tnar_blocks(grid, x, y, resid, curf):
+    """As _stnar_blocks for the columns (1, X, Y) * 1{X <= g}.  A cell is in
+    bin b <= j exactly when X <= g_j, so cumulative sums over the bins give
+    every masked sum (the last bin's: the linear block), and H22 = H12.
+    The point is degenerate if every cell counts (the indicator is the
+    intercept) or no counted cell has X != 0 or Y != 0."""
+    num, tm1 = grid.size, x.shape[1]
+    bins = np.searchsorted(grid, x, side="left")
+
+    def cum(idx, weights, rows=1):      # (rows, G+1) sums over the cells with b <= j
+        sums = np.bincount(idx.ravel(), None if weights is None else weights.ravel(),
+                           rows * (num + 1))
+        return np.cumsum(sums.reshape(rows, num + 1), axis=1)
+
+    by_time = bins + (num + 1) * np.arange(tm1)
+    s = np.stack([cum(by_time, w, tm1).T for w in (resid, resid * x, resid * y)], axis=-1)
+    cx, cy = (x, y) if curf is None else (curf * x, curf * y)
+    h = np.stack([cum(bins, w)[0] for w in (curf, cx, cy, cx * x, cx * y, cy * y)])
+    h = h[[0, 1, 2, 1, 3, 4, 2, 4, 5]].T.reshape(num + 1, 3, 3)
+    lo = max(np.where(v != 0, bins, num).min() for v in (x, y))
+    ok = (np.arange(num) >= lo) & (np.arange(num) < bins.max())
+    return s[num], h[num], ok, s[:num], h[:num], h[:num]
 
 
 def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
                domain: str, null_fit: Optional[FitResult] = None) -> LMProfile:
     """Quasi-score statistic at each grid point of the nuisance rate.
 
-    The null linear fit is shared across grid points.  Count panels use
-    quasi-Poisson score weights (Y/lam - 1) and Y/lam^2 curvature weights;
-    continuous panels use raw residuals and unweighted curvature.
-    Degenerate grid points (vanishing or collinear nonlinear regressors)
-    are dropped with a warning rather than failing the whole profile.
+    The null linear fit and the linear block are shared across grid
+    points.  Count panels use quasi-Poisson score weights (Y/lam - 1) and
+    Y/lam^2 curvature weights; continuous panels use raw residuals and
+    unweighted curvature.  Degenerate grid points (vanishing or collinear
+    nonlinear regressors) are dropped with a warning rather than failing
+    the whole profile.
     """
     if family not in ("stnar", "tnar"):
         raise ValueError("profiled testing applies to the stnar and tnar families")
     k2 = _N_ACTIVE[family] - 3
 
     if null_fit is None:
-        if domain == "count":
-            start = ModelSpec.linear((1.0, 0.2, 0.2), "count")
-            null_fit = qmle_fit(panel, net, start)
-        else:
-            null_fit = ols_fit_linear(panel, net)
+        null_fit = (qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2), "count"))
+                    if domain == "count" else ols_fit_linear(panel, net))
     if not null_fit.converged:
         raise RuntimeError("null fit did not converge")
-    beta = null_fit.theta_hat
 
     y_now, y_lag, x_lag = lagged_design(panel, net)
-    lam = mean_elementwise(ModelSpec.linear(beta, domain), x_lag, y_lag)
+    lam = mean_elementwise(ModelSpec.linear(null_fit.theta_hat, domain), x_lag, y_lag)
     if domain == "count" and lam.min() <= 0:
         raise RuntimeError("fitted intensities are not positive")
     resid, curf = _weights(domain, y_now, lam)
 
-    z = np.empty((3 + k2,) + x_lag.shape)    # (1, X, Y, h(g)); h refilled per point
-    z[0], z[1], z[2] = 1.0, x_lag, y_lag
-    kept_g, kept_lm, kept_scores, kept_pinv, dropped = [], [], [], [], []
-    for gamma in grid.values:
-        cols = _h_columns(family, gamma, x_lag, y_lag)
-        if _degenerate(family, cols):
-            dropped.append((float(gamma), "degenerate nonlinear regressors"))
-            continue
-        z[3:] = cols
-        s_t, hess = _score_parts(z, resid, curf)
-        opg = s_t.T @ s_t
-        try:
-            sigma = sigma_correction(hess, opg, 3)
-            proj = np.linalg.solve(hess[:3, :3], hess[:3, 3:]).T   # H21 H11^-1
-        except np.linalg.LinAlgError:
-            dropped.append((float(gamma), "singular linear-block curvature"))
-            continue
+    s1, h11, ok, s2, h12, h22 = (_tnar_blocks if family == "tnar" else _stnar_blocks)(
+        grid.values, x_lag, y_lag, resid, curf)
+    why = np.where(ok, "", "degenerate nonlinear regressors").astype(object)
+    s2, h12, h22 = s2[ok], h12[ok], h22[ok]
+    s_t = np.concatenate([np.broadcast_to(s1, s2.shape[:2] + (3,)), s2], axis=2)
+    hess = np.block([[np.broadcast_to(h11, h12.shape[:1] + (3, 3)), h12],
+                     [np.swapaxes(h12, 1, 2), h22]])
+    try:
+        sigma = sigma_correction(hess, np.swapaxes(s_t, 1, 2) @ s_t, 3)
+        proj = np.linalg.solve(h11, h12)            # (H21 H11^-1)'
+    except np.linalg.LinAlgError:                   # H11 is shared: every point fails
+        why[ok] = "singular linear-block curvature"
+    else:
         pinv, rank = psd_pinv(sigma)
-        if rank < k2:
-            dropped.append((float(gamma), "singular score covariance"))
-            continue
-        effective = s_t[:, 3:] - s_t[:, :3] @ proj.T
-        total = effective.sum(axis=0)
-        kept_g.append(float(gamma))
-        kept_lm.append(max(float(total @ pinv @ total), 0.0))
-        kept_scores.append(effective)
-        kept_pinv.append(pinv)
-
+        why[np.flatnonzero(ok)[rank < k2]] = "singular score covariance"
+    dropped = [(float(g), w) for g, w in zip(grid.values, why) if w]
     if dropped:
-        warnings.warn(
-            f"dropped {len(dropped)} grid point(s): "
-            + "; ".join(f"g={g:.4g} ({why})" for g, why in dropped))
-    if not kept_g:
+        warnings.warn(f"dropped {len(dropped)} grid point(s): "
+                      + "; ".join(f"g={g:.4g} ({w})" for g, w in dropped))
+    if all(why):
         raise RuntimeError("all grid points were degenerate")
+    good = rank >= k2
+    effective = s2[good] - s1 @ proj[good]
+    total = effective.sum(axis=1)
     return LMProfile(
-        grid=np.array(kept_g), lm=np.array(kept_lm), k2=k2,
-        per_time_scores=kept_scores, sigma_pinv=kept_pinv, family=family,
+        grid=grid.values[why == ""], k2=k2,
+        lm=np.maximum(np.einsum("ka,kab,kb->k", total, pinv[good], total), 0.0),
+        per_time_scores=list(effective), sigma_pinv=list(pinv[good]), family=family,
         domain=domain, null_fit=null_fit, dropped=dropped)
 
 
@@ -241,8 +259,7 @@ def davies_pvalue(profile: LMProfile) -> float:
     if profile.lm.size < 2:
         raise ValueError("the total-variation term needs at least two grid points")
     m = float(profile.lm.max())
-    root = np.sqrt(profile.lm)
-    tv = float(np.abs(np.diff(root)).sum())
+    tv = float(np.abs(np.diff(np.sqrt(profile.lm))).sum())
     k2 = profile.k2
     bound = chi2_sf(m, k2) + (
         tv * m ** ((k2 - 1) / 2.0) * math.exp(-m / 2.0)
@@ -264,16 +281,12 @@ def score_bootstrap(profile: LMProfile, g: str = "sup", reps: int = 499,
         raise ValueError("need at least one bootstrap replication")
     observed = aggregate(profile, g)
     tm1 = profile.per_time_scores[0].shape[0]
-    weights = np.empty((tm1, reps))
-    for j in range(reps):
-        weights[:, j] = rng.normal(rng.stream(seed, 0xB5, j), tm1)
+    weights = np.column_stack([rng.normal(rng.stream(seed, 0xB5, j), tm1)
+                               for j in range(reps)])
 
-    stats = np.empty((len(profile.per_time_scores), reps))
-    for k, (scores, pinv) in enumerate(zip(profile.per_time_scores,
-                                           profile.sigma_pinv)):
-        perturbed = scores.T @ weights              # k2 x reps
-        stats[k] = np.maximum(np.einsum("kj,kl,lj->j", perturbed, pinv, perturbed),
-                              0.0)
+    perturbed = np.swapaxes(profile.per_time_scores, 1, 2) @ weights   # G x k2 x reps
+    stats = np.maximum(np.einsum("gkj,gkl,glj->gj", perturbed, profile.sigma_pinv,
+                                 perturbed), 0.0)
     draws = stats.max(axis=0) if g == "sup" else stats.mean(axis=0)
     p = float(np.mean(draws >= observed))
     return p, draws
@@ -315,11 +328,9 @@ def run_profile_test(panel: Panel, net: Network, family: str, domain: str,
     if grid is None:
         grid = default_grid(family, panel=panel, net=net)
     profile = lm_profile(panel, net, family, grid, domain, null_fit=null_fit)
-    root = np.sqrt(profile.lm)
-    tv = float(np.abs(np.diff(root)).sum()) if profile.lm.size > 1 else 0.0
+    tv = float(np.abs(np.diff(np.sqrt(profile.lm))).sum())
 
-    davies = None
-    boot = None
+    davies = boot = None
     if method == "davies" or (method == "both" and profile.family == "stnar"):
         davies = davies_pvalue(profile)
     if method in ("bootstrap", "both"):

@@ -7,11 +7,11 @@ Hessian of the quasi-likelihood and B the outer product of per-time score
 contributions; B captures the cross-sectional dependence the working
 likelihood ignores.
 
-Every score and curvature sum in the package, here and in the drift test
-(lintest) and the profile tests (nuisance), is assembled by one private
-kernel, _score_parts: it returns the unprojected per-time scores s_t and
-the curvature H of a derivative stack.  Projecting the linear block out
-of the partial score is left to the callers that need it.
+The score and curvature sums here, in the drift test (lintest) and of
+the profile tests' linear block (nuisance) come from one private kernel,
+_score_parts: the unprojected per-time scores s_t and the curvature H of
+a derivative stack.  The profiles' nonlinear blocks are formed in
+nuisance, and the callers project the linear block out where needed.
 
 Time indexing: the first column of a panel conditions the recursion, so
 all sums run over the remaining T-1 time points.

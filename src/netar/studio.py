@@ -42,9 +42,11 @@ __all__ = [
 ]
 
 
-# keys of the scenario fields that are dicts
+# accepted test settings (the default first); keys of the dict-valued fields
+_TEST_VALUES = {"kind": ("chi2", "davies", "bootstrap"), "alt": ("stnar", "tnar"),
+                "agg": ("sup", "ave")}
 _NESTED_KEYS = {"network": {"model", "k", "p"}, "copula": {"structure", "rho"},
-                "test": {"kind", "alt", "grid", "agg", "J"}}
+                "test": {"grid", "J", *_TEST_VALUES}}
 
 
 @dataclass
@@ -78,7 +80,16 @@ class Scenario:
             extra = set(d.get(key, {})) - allowed
             if extra:
                 raise ValueError(f"unknown {key} fields: {sorted(extra)}")
-        _fixed_grid(d.get("test", {}).get("grid", "auto"))
+        test = d.get("test", {})
+        for key, allowed in _TEST_VALUES.items():
+            if test.get(key, allowed[0]) not in allowed:
+                raise ValueError(f"test {key} must be one of {allowed}, got {test[key]!r}")
+        if test.get("kind") == "davies" and test.get("alt") == "tnar":
+            raise ValueError("the Davies bound needs a smooth nuisance rate: "
+                             "test the tnar alternative with kind 'bootstrap'")
+        if not isinstance(test.get("J", 499), int) or test.get("J", 499) < 1:
+            raise ValueError(f"test J must be a positive integer, got {test['J']!r}")
+        _fixed_grid(test.get("grid", "auto"))
         d = dict(d)
         for key in ("theta", "theta2", "levels"):
             if key in d:
@@ -217,22 +228,13 @@ def run_mc_study(cfg: StudyConfig, threads: int = 1):
         tasks = [(sc, net if net is not None
                   else _scenario_network(sc, cfg.base_seed, s_idx, r),
                   cfg.base_seed, s_idx, r) for r in range(sc.reps)]
-        results: dict[int, tuple] = {}
-        errors: list[str] = []
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                for rep, out, err in pool.map(_worker, tasks, chunksize=4):
-                    if err is None:
-                        results[rep] = out
-                    else:
-                        errors.append(err)
+                outs = list(pool.map(_worker, tasks, chunksize=4))
         else:
-            for task in tasks:
-                rep, out, err = _worker(task)
-                if err is None:
-                    results[rep] = out
-                else:
-                    errors.append(err)
+            outs = [_worker(task) for task in tasks]
+        results = {rep: out for rep, out, err in outs if err is None}
+        errors = [err for _, _, err in outs if err is not None]
 
         if len(errors) > max(1, sc.reps) * 0.01:
             raise RuntimeError(

@@ -1,16 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import netar as na
 from netar.dgp import Panel, SimConfig
-from netar.lintest import chi2_sf, sigma_correction
-from netar.model import ModelSpec
+from netar.lintest import chi2_sf, psd_pinv, sigma_correction
+from netar.model import ModelSpec, _h_columns, mean_elementwise
 from netar.nuisance import (GammaGrid, LMProfile, aggregate, davies_pvalue,
                             default_grid, lm_profile, run_profile_test,
                             score_bootstrap)
-from netar.qmle import lagged_design
+from netar.qmle import _score_parts, _weights, lagged_design
 
 
 def _profile_from(lm_values, k2=1, family="stnar"):
@@ -76,13 +77,95 @@ def test_tnar_grid_never_exits_observed_range(small_net):
 
 # profile ------------------------------------------------------------------------
 
-def test_single_point_profile_equals_fixed_gamma_statistic(small_net, cont_panel):
-    grid1 = GammaGrid(np.array([0.7]))
-    prof = lm_profile(cont_panel, small_net, "stnar", grid1, "cont")
-    full = lm_profile(cont_panel, small_net, "stnar",
-                      GammaGrid(np.array([0.3, 0.7, 1.2])), "cont")
-    k = int(np.flatnonzero(np.isclose(full.grid, 0.7))[0])
+@pytest.mark.parametrize("family, fixture", [("stnar", "cont_panel"),
+                                             ("tnar", "count_panel")])
+def test_single_point_profile_equals_fixed_gamma_statistic(small_net, family, fixture,
+                                                           request):
+    panel = request.getfixturevalue(fixture)
+    domain = "cont" if fixture == "cont_panel" else "count"
+    values = (np.array([0.3, 0.7, 1.2]) if family == "stnar"
+              else default_grid("tnar", panel=panel, net=small_net).values)
+    k = values.size // 2
+    prof = lm_profile(panel, small_net, family, GammaGrid(values[k:k + 1]), domain)
+    full = lm_profile(panel, small_net, family, GammaGrid(values), domain)
+    assert full.grid[k] == values[k]
     assert prof.lm[0] == pytest.approx(full.lm[k], rel=1e-12)
+
+
+def _per_point_profile(panel, net, family, grid, domain, null_fit):
+    """The profile one grid point at a time on the explicit (1, X, Y, h(g))
+    stack: {g: (lm, effective scores, sigma pinv)} and the dropped points."""
+    y_now, y_lag, x_lag = lagged_design(panel, net)
+    lam = mean_elementwise(ModelSpec.linear(null_fit.theta_hat, domain), x_lag, y_lag)
+    resid, curf = _weights(domain, y_now, lam)
+    kept, dropped = {}, []
+    for g in grid:
+        cols = _h_columns(family, g, x_lag, y_lag)
+        if (any(np.max(np.abs(c)) == 0.0 for c in cols)
+                or (family == "tnar" and cols[0].mean() in (0.0, 1.0))):
+            dropped.append((float(g), "degenerate nonlinear regressors"))
+            continue
+        s_t, hess = _score_parts(np.stack([np.ones_like(x_lag), x_lag, y_lag, *cols]),
+                                 resid, curf)
+        pinv, rank = psd_pinv(sigma_correction(hess, s_t.T @ s_t, 3))
+        if rank < len(cols):
+            dropped.append((float(g), "singular score covariance"))
+            continue
+        effective = s_t[:, 3:] - s_t[:, :3] @ np.linalg.solve(hess[:3, :3], hess[:3, 3:])
+        total = effective.sum(axis=0)
+        kept[float(g)] = (max(float(total @ pinv @ total), 0.0), effective, pinv)
+    return kept, dropped
+
+
+def _lattice_grid(panel, net):
+    """Attained neighbour averages (multiples of 1/out-degree) across the
+    default grid's range, plus points below, at and above the extremes."""
+    x = net.w @ panel.values[:, :-1]
+    inner = default_grid("tnar", panel=panel, net=net).values
+    attained = np.unique(x)
+    attained = attained[(attained >= inner[0]) & (attained <= inner[-1])][::4]
+    return np.unique(np.concatenate([attained, [x.min() - 1.0, x.min(), x.max(),
+                                                x.max() + 1.0]]))
+
+
+@pytest.mark.parametrize("family, fixture, grid_kind", [
+    ("stnar", "count_panel", "default"), ("stnar", "cont_panel", "default"),
+    ("tnar", "count_panel", "default"), ("tnar", "cont_panel", "default"),
+    ("tnar", "count_panel", "lattice"), ("tnar", "cont_panel", "extremes")])
+def test_profile_matches_per_point_reference(small_net, family, fixture, grid_kind,
+                                             request):
+    panel = request.getfixturevalue(fixture)
+    domain = "cont" if fixture == "cont_panel" else "count"
+    if grid_kind == "default":
+        grid = default_grid(family, panel=panel, net=small_net)
+    elif grid_kind == "lattice":
+        grid = GammaGrid(_lattice_grid(panel, small_net))
+    else:
+        x = small_net.w @ panel.values[:, :-1]
+        inner = default_grid("tnar", panel=panel, net=small_net).values
+        grid = GammaGrid(np.concatenate([[x.min() - 1.0, x.min()], inner,
+                                         [x.max(), x.max() + 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        prof = lm_profile(panel, small_net, family, grid, domain)
+    kept, dropped = _per_point_profile(panel, small_net, family, grid.values, domain,
+                                       prof.null_fit)
+    assert list(prof.grid) == list(kept)
+    assert prof.dropped == dropped
+    if grid_kind != "default":
+        assert [g for g, _ in dropped][-2:] == list(grid.values[-2:])
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    for k, (lm, effective, pinv) in enumerate(kept.values()):
+        assert prof.lm[k] == pytest.approx(lm, rel=1e-10)
+        assert rel(prof.per_time_scores[k], effective) <= 1e-10
+        # inverting a covariance whose condition number reaches 1.5e6 (the top
+        # default tnar point on cont_panel) turns rounding in the summation
+        # order into up to ~3e-10 relative change in the pseudo-inverse; the
+        # per-point result is itself 2e-10 from a long-double evaluation there
+        assert rel(prof.sigma_pinv[k], pinv) <= 1e-9
 
 
 def test_huge_gamma_point_dropped_with_warning(small_net, cont_panel):

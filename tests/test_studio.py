@@ -133,6 +133,21 @@ def test_malformed_grid_rejected(grid):
         _tiny_cfg(kind="davies", test={"kind": "davies", "alt": "stnar", "grid": grid})
 
 
+@pytest.mark.parametrize("test, match", [
+    ({"kind": "chi"}, "test kind must be one of"),
+    ({"kind": "bootstrap", "alt": "tnr"}, "test alt must be one of"),
+    ({"kind": "davies", "alt": "tnar"}, "Davies bound needs a smooth"),
+    ({"kind": "bootstrap", "alt": "tnar", "agg": "max"}, "test agg must be one of"),
+    ({"kind": "bootstrap", "alt": "tnar", "J": 0}, "test J must be a positive integer"),
+])
+def test_bad_test_setting_rejected_before_simulation(test, match, monkeypatch):
+    def no_panels(*args):
+        raise AssertionError("a panel was simulated")
+    monkeypatch.setattr("netar.studio._simulate", no_panels)
+    with pytest.raises(ValueError, match=match):
+        run_mc_study(_tiny_cfg(reps=2, test=test))
+
+
 def test_grid_string_gives_equidistant_points():
     grid = {"kind": "davies", "alt": "stnar"}
     as_text = _tiny_cfg(reps=3, test={**grid, "grid": "0.5:1.5:3"})
