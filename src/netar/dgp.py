@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 STRUCTURES = ("identity", "ar1", "exch")
+# the named starts of each domain's simulator (besides a scalar or a length-N vector)
+INIT_MODES = {"cont": ("default", "stationary", "linear-stationary", "zero"),
+              "count": ("default", "zero")}
 
 
 @dataclass(frozen=True)
@@ -192,8 +195,11 @@ def _stationary_chol(net: Network, beta: tuple, sigma: float):
     return mu, chol
 
 
-def _resolve_init(init, n: int):
+def _resolve_init(init, n: int, domain: str):
     if isinstance(init, str):
+        if init not in INIT_MODES[domain]:
+            raise ValueError(f"{domain} init must be one of {INIT_MODES[domain]}, a scalar "
+                             f"or a length-{n} vector, got {init!r}")
         return init
     arr = np.asarray(init, dtype=float)
     if arr.ndim == 0:
@@ -221,7 +227,7 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
     """
     if spec.domain != "cont":
         raise ValueError("simulate_gaussian requires a continuous-domain spec")
-    init = _resolve_init(cfg.init, net.n)
+    init = _resolve_init(cfg.init, net.n, "cont")
     gen = rng.stream(cfg.seed, 0x51)
 
     mode = init if isinstance(init, str) else "fixed"
@@ -326,16 +332,9 @@ def simulate_count(spec: ModelSpec, net: Network, cop: CopulaSpec,
             f"sufficient stability condition fails ({verdict.condition_name}: "
             f"{verdict.condition_value:.3f}); simulation may drift")
 
-    init = _resolve_init(cfg.init, net.n)
+    init = _resolve_init(cfg.init, net.n, "count")
     if isinstance(init, str):
-        if init == "default":
-            lam0 = np.ones(net.n)
-        elif init == "zero":
-            lam0 = np.zeros(net.n)
-        else:
-            raise ValueError(
-                "count models have no closed-form stationary start; "
-                "use 'default', 'zero' or an explicit intensity vector")
+        lam0 = np.ones(net.n) if init == "default" else np.zeros(net.n)
     else:
         lam0 = init
     gen = rng.stream(cfg.seed, 0xC0)

@@ -2,16 +2,14 @@
 
 The null linear model is fitted (QMLE for counts, least squares for
 continuous data) and the partial score of the nonlinear coordinates is
-standardized by the quasi-likelihood covariance correction
-
-    Sigma = B22 - H21 H11^-1 B12 - B21 H11^-1 H12
-            + H21 H11^-1 B11 H11^-1 H12,
-
-which collapses to the Schur complement of H when B = H (true-likelihood
-case) and to Sigma_B = B22 - B21 B11^-1 B12 on the continuous path, where
-errors are i.i.d.  The statistic is referred to a chi-square with as many
-degrees of freedom as tested coordinates; this is unaffected by the
-tested value sitting on the parameter boundary.
+standardized by its covariance Sigma = sum_t e_t e_t', the outer product
+of the effective per-time scores e_t = s_t^(2) - M21 M11^-1 s_t^(1).
+With M the curvature H (count QMLE) this is the quasi-likelihood
+correction of sigma_correction, with M the score outer product B (least
+squares, i.i.d. errors) the Schur complement B22 - B21 B11^-1 B12; no
+large terms are formed, so none cancel.  The statistic is referred to a
+chi-square with as many degrees of freedom as tested coordinates; this
+is unaffected by the tested value sitting on the parameter boundary.
 
 The per-time scores and the curvature come from the shared kernel
 qmle._score_parts.  The statistic uses the unprojected partial score
@@ -37,7 +35,6 @@ __all__ = [
     "ScoreTestResult",
     "chi2_sf",
     "sigma_correction",
-    "schur_complement",
     "psd_pinv",
     "lm_test",
 ]
@@ -52,15 +49,8 @@ def chi2_sf(x: float, df: int) -> float:
     return float(gammaincc(df / 2.0, x / 2.0))
 
 
-def schur_complement(mat: np.ndarray, m1: int) -> np.ndarray:
-    a, b = mat[:m1, :m1], mat[:m1, m1:]
-    c, d = mat[m1:, :m1], mat[m1:, m1:]
-    out = d - c @ np.linalg.solve(a, b)
-    return 0.5 * (out + out.T)
-
-
 def sigma_correction(hess: np.ndarray, opg: np.ndarray, m1: int) -> np.ndarray:
-    """Covariance of the partial score at the constrained fit.
+    """The paper's four-term covariance of the partial score at the constrained fit.
 
     hess and opg are the full m x m curvature and outer-product matrices
     with the linear block leading, or equal-shaped stacks of them; m1 is
@@ -83,12 +73,13 @@ def psd_pinv(mat: np.ndarray, rel_cutoff: float = 1e-12):
     """Pseudo-inverse of a nominally PSD matrix, or of a stack of them, via
     eigendecomposition.
 
-    Eigenvalues below rel_cutoff times the largest (and all negative ones,
-    which are sampling noise here) are treated as zero.  Returns
-    (pinv, rank).
+    Eigenvalues below rel_cutoff times the largest or subnormal (their
+    inverse may overflow), and all negative ones (sampling noise here),
+    are treated as zero.  Returns (pinv, rank).
     """
     vals, vecs = np.linalg.eigh(0.5 * (mat + np.swapaxes(mat, -1, -2)))
-    keep = vals > vals.max(axis=-1, initial=0.0)[..., None] * rel_cutoff
+    floor = np.maximum(vals.max(axis=-1, initial=0.0) * rel_cutoff, np.finfo(float).tiny)
+    keep = vals > floor[..., None]
     inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
     return (vecs * inv_vals[..., None, :]) @ np.swapaxes(vecs, -1, -2), keep.sum(axis=-1)
 
@@ -119,8 +110,8 @@ def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec,
 
     The constrained fit is the linear model; the extra Jacobian column at
     the null is -b0*log(1 + X) (counts) or -b0*log(1 + |X|) (continuous).
-    The count path uses the full four-term covariance correction, the
-    continuous path its OPG simplification.
+    The linear block is projected out of the per-time scores through the
+    curvature (counts) or the score outer product (least squares).
     """
     if alt_spec.family != "drift":
         raise ValueError("the identifiable-parameter test is against the drift family")
@@ -139,9 +130,9 @@ def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec,
     at_null = ModelSpec.drift(beta, 0.0, domain)
     lam = mean_elementwise(ModelSpec.linear(beta, domain), x_lag, y_lag)
     s_t, hess = _quasi_parts(at_null, y_now, y_lag, x_lag, lam)
-    opg = s_t.T @ s_t
-    sigma = (sigma_correction(hess, opg, 3) if domain == "count"
-             else schur_complement(opg, 3))
+    proj = hess if domain == "count" else s_t.T @ s_t
+    effective = s_t[:, 3:] - s_t[:, :3] @ np.linalg.solve(proj[:3, :3], proj[:3, 3:])
+    sigma = effective.T @ effective
 
     partial = s_t.sum(axis=0)[3:]
     pinv, rank = psd_pinv(sigma)

@@ -11,10 +11,10 @@ where h is the family's nonlinear regressor block:
 
 The linear block (scores of 1, X, Y and curvature H11) does not depend
 on g and is computed once; stnar forms only h(g) at each grid point, and
-tnar reads every point's s_t^(2)(g) and H12(g) = H22(g) from cumulative
-sums over one binning of the cells.  Unlike the drift test, the profile
-projects the linear block out of every per-time score (the effective
-scores of LMProfile), so that the bootstrap can perturb them directly.
+tnar reads every point's s_t^(2)(g) and H12(g) from cumulative sums over
+one binning of the cells.  The curvature projects the linear block out of
+every per-time score; the outer product of these effective scores is the
+score covariance Sigma(g), and the bootstrap perturbs them directly.
 
 The supremum or average of the profile is calibrated either by the Davies
 upper bound (scalar smooth nuisance only) or by Hansen's multiplier
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import rng
 from .dgp import Panel
-from .lintest import chi2_sf, psd_pinv, sigma_correction
+from .lintest import chi2_sf, psd_pinv
 from .model import _N_ACTIVE, ModelSpec, _h_columns, mean_elementwise
 from .netgraph import Network
 from .qmle import (FitResult, _score_parts, _weights, lagged_design, ols_fit_linear,
@@ -123,9 +123,9 @@ class LMProfile:
     linear-block score projected out through the curvature matrix,
     s*_t = s_t^(2) - H21 H11^-1 s_t^(1).  Their total equals the partial
     score at the constrained fit (where the linear-block score sums to
-    zero) and their outer product equals the corrected covariance, which
-    is what lets the multiplier bootstrap reuse them directly.
-    sigma_pinv[k] is the pseudo-inverse of that covariance.
+    zero) and their outer product is the score covariance Sigma, which is
+    what lets the multiplier bootstrap reuse them directly.
+    sigma_pinv[k] is the pseudo-inverse of Sigma.
     """
 
     grid: np.ndarray
@@ -141,22 +141,21 @@ class LMProfile:
 
 def _stnar_blocks(grid, x, y, resid, curf):
     """The linear block s_t^(1), H11, then stacked over the grid: whether
-    h(g) = exp(-g X^2) X is nonzero, and its s_t^(2), H12 and H22."""
+    h(g) = exp(-g X^2) X is nonzero, and its s_t^(2) and H12."""
     z1 = np.stack([np.ones_like(x), x, y])
     zc = (z1 if curf is None else z1 * curf).reshape(3, -1)
     parts = []
     for gamma in grid:
         (h,) = _h_columns("stnar", gamma, x, y)
         hf = h.reshape(-1, 1)
-        parts.append((h.any(), np.einsum("nt,nt->t", h, resid)[:, None], zc @ hf,
-                      (zc[0] * hf.T) @ hf))
+        parts.append((h.any(), np.einsum("nt,nt->t", h, resid)[:, None], zc @ hf))
     return (*_score_parts(z1, resid, curf), *map(np.array, zip(*parts)))
 
 
 def _tnar_blocks(grid, x, y, resid, curf):
     """As _stnar_blocks for the columns (1, X, Y) * 1{X <= g}.  A cell is in
     bin b <= j exactly when X <= g_j, so cumulative sums over the bins give
-    every masked sum (the last bin's: the linear block), and H22 = H12.
+    every masked sum (the last bin's: the linear block).
     The point is degenerate if every cell counts (the indicator is the
     intercept) or no counted cell has X != 0 or Y != 0."""
     num, tm1 = grid.size, x.shape[1]
@@ -174,7 +173,7 @@ def _tnar_blocks(grid, x, y, resid, curf):
     h = h[[0, 1, 2, 1, 3, 4, 2, 4, 5]].T.reshape(num + 1, 3, 3)
     lo = max(np.where(v != 0, bins, num).min() for v in (x, y))
     ok = (np.arange(num) >= lo) & (np.arange(num) < bins.max())
-    return s[num], h[num], ok, s[:num], h[:num], h[:num]
+    return s[num], h[num], ok, s[:num], h[:num]
 
 
 def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
@@ -184,9 +183,10 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     The null linear fit and the linear block are shared across grid
     points.  Count panels use quasi-Poisson score weights (Y/lam - 1) and
     Y/lam^2 curvature weights; continuous panels use raw residuals and
-    unweighted curvature.  Degenerate grid points (vanishing or collinear
-    nonlinear regressors) are dropped with a warning rather than failing
-    the whole profile.
+    unweighted curvature.  Each point's score covariance is the outer
+    product of its effective scores.  Degenerate grid points (vanishing or
+    collinear nonlinear regressors, subnormal or singular covariance) are
+    dropped with a warning rather than failing the whole profile.
     """
     if family not in ("stnar", "tnar"):
         raise ValueError("profiled testing applies to the stnar and tnar families")
@@ -204,20 +204,15 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
         raise RuntimeError("fitted intensities are not positive")
     resid, curf = _weights(domain, y_now, lam)
 
-    s1, h11, ok, s2, h12, h22 = (_tnar_blocks if family == "tnar" else _stnar_blocks)(
+    s1, h11, ok, s2, h12 = (_tnar_blocks if family == "tnar" else _stnar_blocks)(
         grid.values, x_lag, y_lag, resid, curf)
     why = np.where(ok, "", "degenerate nonlinear regressors").astype(object)
-    s2, h12, h22 = s2[ok], h12[ok], h22[ok]
-    s_t = np.concatenate([np.broadcast_to(s1, s2.shape[:2] + (3,)), s2], axis=2)
-    hess = np.block([[np.broadcast_to(h11, h12.shape[:1] + (3, 3)), h12],
-                     [np.swapaxes(h12, 1, 2), h22]])
     try:
-        sigma = sigma_correction(hess, np.swapaxes(s_t, 1, 2) @ s_t, 3)
-        proj = np.linalg.solve(h11, h12)            # (H21 H11^-1)'
+        effective = s2[ok] - s1 @ np.linalg.solve(h11, h12[ok])
     except np.linalg.LinAlgError:                   # H11 is shared: every point fails
         why[ok] = "singular linear-block curvature"
     else:
-        pinv, rank = psd_pinv(sigma)
+        pinv, rank = psd_pinv(np.swapaxes(effective, 1, 2) @ effective)
         why[np.flatnonzero(ok)[rank < k2]] = "singular score covariance"
     dropped = [(float(g), w) for g, w in zip(grid.values, why) if w]
     if dropped:
@@ -226,7 +221,7 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     if all(why):
         raise RuntimeError("all grid points were degenerate")
     good = rank >= k2
-    effective = s2[good] - s1 @ proj[good]
+    effective = effective[good]
     total = effective.sum(axis=1)
     return LMProfile(
         grid=grid.values[why == ""], k2=k2,
@@ -301,7 +296,6 @@ class ProfileTestResult:
     davies_p: Optional[float]
     boot_p: Optional[float]
     boot_reps: int
-    total_variation: float
     seed: int
     profile: LMProfile
 
@@ -328,7 +322,6 @@ def run_profile_test(panel: Panel, net: Network, family: str, domain: str,
     if grid is None:
         grid = default_grid(family, panel=panel, net=net)
     profile = lm_profile(panel, net, family, grid, domain, null_fit=null_fit)
-    tv = float(np.abs(np.diff(np.sqrt(profile.lm))).sum())
 
     davies = boot = None
     if method == "davies" or (method == "both" and profile.family == "stnar"):
@@ -338,4 +331,4 @@ def run_profile_test(panel: Panel, net: Network, family: str, domain: str,
     return ProfileTestResult(
         g_sup=aggregate(profile, "sup"), g_ave=aggregate(profile, "ave"),
         davies_p=davies, boot_p=boot, boot_reps=reps if boot is not None else 0,
-        total_variation=tv, seed=seed, profile=profile)
+        seed=seed, profile=profile)

@@ -10,8 +10,8 @@ likelihood ignores.
 The score and curvature sums here, in the drift test (lintest) and of
 the profile tests' linear block (nuisance) come from one private kernel,
 _score_parts: the unprojected per-time scores s_t and the curvature H of
-a derivative stack.  The profiles' nonlinear blocks are formed in
-nuisance, and the callers project the linear block out where needed.
+a derivative stack.  The tests' score covariance is the outer product
+of these scores with the linear block projected out.
 
 Time indexing: the first column of a panel conditions the recursion, so
 all sums run over the remaining T-1 time points.

@@ -24,11 +24,12 @@ import numpy as np
 
 from . import __version__ as _version
 from . import rng
-from .dgp import CopulaSpec, Panel, SimConfig, simulate_count, simulate_gaussian
+from .dgp import (INIT_MODES, CopulaSpec, Panel, SimConfig, _resolve_init, simulate_count,
+                  simulate_gaussian)
 from .lintest import lm_test
 from .model import ModelSpec
 from .netgraph import Network, gen_er, gen_sbm
-from .nuisance import GammaGrid, default_grid, run_profile_test
+from .nuisance import GammaGrid, aggregate, default_grid, run_profile_test
 
 __all__ = [
     "Scenario",
@@ -90,6 +91,9 @@ class Scenario:
         if not isinstance(test.get("J", 499), int) or test.get("J", 499) < 1:
             raise ValueError(f"test J must be a positive integer, got {test['J']!r}")
         _fixed_grid(test.get("grid", "auto"))
+        if d.get("domain") in INIT_MODES:
+            _resolve_init(d.get("init", "default"), d.get("n"), d["domain"])
+        CopulaSpec(**d.get("copula", {}))
         d = dict(d)
         for key in ("theta", "theta2", "levels"):
             if key in d:
@@ -190,11 +194,12 @@ def _run_replication(sc: Scenario, net: Network, base_seed: int, s_idx: int,
                                method="davies")
         return res.davies_p, res.g_sup
     if kind == "bootstrap":
+        agg = sc.test.get("agg", "sup")
         res = run_profile_test(
             panel, net, family, sc.domain, grid=grid, method="bootstrap",
-            agg=sc.test.get("agg", "sup"), reps=int(sc.test.get("J", 499)),
+            agg=agg, reps=int(sc.test.get("J", 499)),
             seed=rng.mix_seed(base_seed, s_idx, rep, 0xB0))
-        return res.boot_p, res.g_sup
+        return res.boot_p, aggregate(res.profile, agg)
     raise ValueError(f"unknown test kind {kind!r}")
 
 

@@ -176,7 +176,7 @@ def test_criterion_01_continuous_chi2_size():
     cfg = StudyConfig(scenarios=[Scenario.from_dict({
         "name": "cont-size", "network": {"model": "sbm", "k": 2},
         "n": 200, "t": 300, "domain": "cont", "theta": (1.5, 0.4, 0.5),
-        "reps": 500, "test": {"kind": "chi2"}, "burn_in": 0,
+        "reps": 2000, "test": {"kind": "chi2"}, "burn_in": 0,
     })], base_seed=20240601)
     rows, _ = run_mc_study(cfg)
     rates = _rates(rows)
@@ -262,7 +262,7 @@ def test_criterion_07_bootstrap_tnar():
     size_cfg = StudyConfig(scenarios=[Scenario.from_dict({
         "name": "boot-size", "network": {"model": "sbm", "k": 2},
         "n": 8, "t": 1000, "domain": "cont", "theta": (1.0, 0.3, 0.2),
-        "burn_in": 0, "init": "linear-stationary", "reps": 100,
+        "burn_in": 0, "init": "linear-stationary", "reps": 1000,
         "test": {"kind": "bootstrap", "alt": "tnar", "J": 299, "agg": "sup"},
     })], base_seed=20240607)
     rows, _ = run_mc_study(size_cfg)

@@ -5,11 +5,10 @@ import pytest
 
 import netar as na
 from netar.dgp import Panel, SimConfig
-from netar.lintest import (chi2_sf, lm_test, psd_pinv, schur_complement,
-                           sigma_correction)
-from netar.model import ModelSpec
-from netar.nuisance import GammaGrid, default_grid, lm_profile
-from netar.qmle import lagged_design
+from netar.lintest import chi2_sf, lm_test, psd_pinv, sigma_correction
+from netar.model import ModelSpec, mean_elementwise
+from netar.nuisance import GammaGrid, _tnar_blocks, default_grid, lm_profile
+from netar.qmle import _quasi_parts, _weights, lagged_design
 
 
 # chi-square tail ----------------------------------------------------------------
@@ -77,8 +76,8 @@ def test_sigma_correction_matches_naive_formula(rs):
 def test_sigma_correction_with_b_equal_h_is_schur_complement(rs):
     a = rs.normal(size=(6, 6))
     h = a @ a.T + 6 * np.eye(6)
-    assert np.allclose(sigma_correction(h, h, 3), schur_complement(h, 3),
-                       atol=1e-10)
+    schur = h[3:, 3:] - h[3:, :3] @ np.linalg.solve(h[:3, :3], h[:3, 3:])
+    assert np.allclose(sigma_correction(h, h, 3), schur, atol=1e-10)
 
 
 def test_psd_pinv_handles_rank_deficiency():
@@ -87,6 +86,14 @@ def test_psd_pinv_handles_rank_deficiency():
     assert rank == 1
     assert pinv[0, 0] == pytest.approx(0.5)
     assert pinv[1, 1] == 0.0
+
+
+def test_psd_pinv_treats_subnormal_eigenvalues_as_zero():
+    # alone, a subnormal eigenvalue passes any relative cutoff; its inverse overflows
+    pinv, rank = psd_pinv(np.array([[1e-310]]))
+    assert rank == 0 and pinv[0, 0] == 0.0
+    pinv, rank = psd_pinv(np.diag([1e-300, 1e-310]))
+    assert rank == 1 and pinv[0, 0] == pytest.approx(1e300) and pinv[1, 1] == 0.0
 
 
 # the quasi-score test -----------------------------------------------------------
@@ -181,6 +188,75 @@ def test_forcing_b_equal_h_recovers_classical_score_test(small_net, count_panel)
     hess[3, 0] = hess[0, 3]
     hess[3, 3] -= float(np.sum(resid * curv_gg))
     s2 = float(np.einsum("nt,nt->", jac[3], resid))
-    classical = s2 ** 2 / schur_complement(hess, 3)[0, 0]
+    schur = hess[3:, 3:] - hess[3:, :3] @ np.linalg.solve(hess[:3, :3], hess[:3, 3:])
+    classical = s2 ** 2 / schur[0, 0]
     forced = s2 ** 2 / sigma_correction(hess, hess, 3)[0, 0]
     assert forced == pytest.approx(classical, abs=1e-10)
+
+
+# the covariance as the outer product of effective scores -----------------------
+
+def _drift_parts(panel, net, domain):
+    """lm_test's result and its kernel outputs: per-time scores and curvature."""
+    res = lm_test(panel, net, ModelSpec.drift((1.0, 0.3, 0.2), 0.0, domain))
+    beta = res.null_fit.theta_hat
+    y_now, y_lag, x_lag = lagged_design(panel, net)
+    lam = mean_elementwise(ModelSpec.linear(beta, domain), x_lag, y_lag)
+    s_t, hess = _quasi_parts(ModelSpec.drift(beta, 0.0, domain), y_now, y_lag, x_lag, lam)
+    return res, s_t, hess
+
+
+def test_lm_test_sigma_is_the_four_term_correction(small_net, count_panel, cont_panel):
+    res, s_t, hess = _drift_parts(count_panel, small_net, "count")
+    four_term = sigma_correction(hess, s_t.T @ s_t, 3)
+    assert res.sigma_used == pytest.approx(four_term, rel=1e-10)
+    # least squares projects through B itself: Sigma is B's Schur complement.  The
+    # drift column -b0 log(1 + |X|) is nearly the intercept here, so the four-term
+    # form cancels to about 3e-9 of a 60-digit evaluation; the long-double test
+    # below checks this Sigma tightly
+    res, s_t, _ = _drift_parts(cont_panel, small_net, "cont")
+    opg = s_t.T @ s_t
+    assert res.sigma_used == pytest.approx(sigma_correction(opg, opg, 3), rel=1e-8)
+
+
+def _solve_ld(a, b):
+    """a^-1 b in long double by Gauss-Jordan elimination (a is positive definite)."""
+    m = np.concatenate([a, b], axis=1).astype(np.longdouble)
+    for i in range(a.shape[0]):
+        m[i] /= m[i, i]
+        for j in range(a.shape[0]):
+            if j != i:
+                m[j] -= m[j, i] * m[i]
+    return m[:, a.shape[0]:]
+
+
+def _long_double_sigma(s1, m11, s2, m12):
+    """Sigma = sum_t e_t e_t' and the total of the e_t, in long double, from the
+    double-precision kernel outputs."""
+    effective = s2.astype(np.longdouble) - s1.astype(np.longdouble) @ _solve_ld(m11, m12)
+    return effective.T @ effective, effective.sum(axis=0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+def test_sigma_matches_long_double_outer_product(small_net, count_panel, cont_panel):
+    # continuous drift test: B22 - B21 B11^-1 B12 formed directly cancels to about
+    # 3e-9 here
+    res, s_t, _ = _drift_parts(cont_panel, small_net, "cont")
+    opg = s_t.T @ s_t
+    sigma, _ = _long_double_sigma(s_t[:, :3], opg[:3, :3], s_t[:, 3:], opg[:3, 3:])
+    assert abs(res.sigma_used[0, 0] - sigma[0, 0]) <= 1e-12 * sigma[0, 0]
+
+    # tnar point with all but 3 cells counted: the four-term form cancels to about
+    # 2e-10 in lm here
+    y_now, y_lag, x_lag = lagged_design(count_panel, small_net)
+    top = np.unique(x_lag)
+    grid = np.array([0.5 * (top[-4] + top[-3])])
+    assert np.mean(x_lag <= grid[0]) >= 0.999
+    prof = lm_profile(count_panel, small_net, "tnar", GammaGrid(grid), "count")
+    lam = mean_elementwise(ModelSpec.linear(prof.null_fit.theta_hat, "count"), x_lag, y_lag)
+    resid, curf = _weights("count", y_now, lam)
+    s1, h11, _, s2, h12 = _tnar_blocks(grid, x_lag, y_lag, resid, curf)
+    sigma, total = _long_double_sigma(s1, h11, s2[0], h12[0])
+    lm = total @ _solve_ld(sigma, total[:, None])[:, 0]
+    assert abs(prof.lm[0] - lm) <= 1e-11 * lm

@@ -176,6 +176,40 @@ def test_huge_gamma_point_dropped_with_warning(small_net, cont_panel):
     assert prof.dropped and prof.dropped[0][0] == pytest.approx(1e6)
 
 
+@pytest.mark.parametrize("family, fixture", [
+    ("stnar", "count_panel"), ("stnar", "cont_panel"),
+    ("tnar", "count_panel"), ("tnar", "cont_panel")])
+def test_profile_sigma_is_the_four_term_correction(small_net, family, fixture, request):
+    # lm_profile inverts the outer product of the effective scores it returns
+    panel = request.getfixturevalue(fixture)
+    domain = "cont" if fixture == "cont_panel" else "count"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        grid = default_grid(family, panel=panel, net=small_net)
+        prof = lm_profile(panel, small_net, family, grid, domain)
+    y_now, y_lag, x_lag = lagged_design(panel, small_net)
+    lam = mean_elementwise(ModelSpec.linear(prof.null_fit.theta_hat, domain), x_lag, y_lag)
+    resid, curf = _weights(domain, y_now, lam)
+    for g, scores in zip(prof.grid, prof.per_time_scores):
+        cols = _h_columns(family, g, x_lag, y_lag)
+        s_t, hess = _score_parts(np.stack([np.ones_like(x_lag), x_lag, y_lag, *cols]),
+                                 resid, curf)
+        four_term = sigma_correction(hess, s_t.T @ s_t, 3)
+        assert scores.T @ scores == pytest.approx(four_term, rel=1e-10)
+
+
+def test_subnormal_score_covariance_dropped(small_net, cont_panel):
+    # X lies in [10.8, 17.7], so h(g) = exp(-g X^2) X is below 1e-150 from g = 3.1
+    # on and Sigma(3.12875) is subnormal: dropped, not an infinite statistic
+    grid = GammaGrid(np.linspace(0.01, 5, 17))
+    with pytest.warns(UserWarning, match="dropped"):
+        res = run_profile_test(cont_panel, small_net, "stnar", "cont", grid=grid,
+                               method="davies")
+    assert (3.12875, "singular score covariance") in res.profile.dropped
+    assert np.all(np.isfinite(res.profile.lm))
+    assert res.davies_p < 1.0
+
+
 def test_profile_h0_calibration_count():
     net = na.gen_sbm(30, 2, seed=61)
     spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")

@@ -6,6 +6,7 @@ import pytest
 
 import netar as na
 from netar.dgp import Panel
+from netar.nuisance import run_profile_test
 from netar.studio import (Scenario, StudyConfig, emit_report, load_panel_csv,
                           run_mc_study, save_panel_csv, write_raw_draws)
 
@@ -146,6 +147,36 @@ def test_bad_test_setting_rejected_before_simulation(test, match, monkeypatch):
     monkeypatch.setattr("netar.studio._simulate", no_panels)
     with pytest.raises(ValueError, match=match):
         run_mc_study(_tiny_cfg(reps=2, test=test))
+
+
+@pytest.mark.parametrize("extra, match", [
+    ({"init": "stationry"}, "cont init must be one of"),
+    ({"domain": "count", "init": "stationary"}, "count init must be one of"),
+    ({"init": [0.0, 1.0]}, "init vector must have length 20"),
+    ({"domain": "count", "copula": {"structure": "arr1"}}, "unknown copula structure"),
+    ({"domain": "count", "copula": {"structure": "ar1", "rho": 1.0}}, "copula correlation"),
+])
+def test_bad_init_or_copula_rejected_before_simulation(extra, match, monkeypatch):
+    def no_panels(*args):
+        raise AssertionError("a panel was simulated")
+    monkeypatch.setattr("netar.studio._simulate", no_panels)
+    with pytest.raises(ValueError, match=match):
+        run_mc_study(_tiny_cfg(reps=2, **extra))
+
+
+@pytest.mark.parametrize("agg", ["sup", "ave"])
+def test_bootstrap_raw_statistic_is_the_tested_aggregate(agg, monkeypatch):
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(run_profile_test(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr("netar.studio.run_profile_test", recording)
+    _, raw = run_mc_study(_tiny_cfg(reps=3, kind="bootstrap",
+                                    test={"kind": "bootstrap", "alt": "stnar", "J": 29,
+                                          "agg": agg}))
+    assert np.array_equal(raw["tiny"], [getattr(res, f"g_{agg}") for res in results])
+    assert all(res.g_ave < res.g_sup for res in results)
 
 
 def test_grid_string_gives_equidistant_points():
