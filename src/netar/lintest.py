@@ -15,7 +15,9 @@ The per-time scores and the curvature come from the shared kernel
 qmle._score_parts.  The statistic uses the unprojected partial score
 (the nonlinear-block total, which is the partial score at the constrained
 fit because the linear-block score vanishes there); the projection of
-the linear block lives in Sigma.
+the linear block lives in Sigma.  The statistic is ||S^-1 V' partial||^2
+from the thin SVD E = U S V' of the effective scores, so Sigma is never
+inverted; _whiten and _null_design also serve the profile tests of nuisance.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "ScoreTestResult",
     "chi2_sf",
     "sigma_correction",
-    "psd_pinv",
     "lm_test",
 ]
 
@@ -69,19 +70,33 @@ def sigma_correction(hess: np.ndarray, opg: np.ndarray, m1: int) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def psd_pinv(mat: np.ndarray, rel_cutoff: float = 1e-12):
-    """Pseudo-inverse of a nominally PSD matrix, or of a stack of them, via
-    eigendecomposition.
+def _null_design(panel: Panel, net: Network, domain: str,
+                 null_fit: Optional[FitResult]):
+    """The converged linear null fit (QMLE for counts, least squares for
+    continuous data, fitted here unless given), the lagged design
+    (y_now, y_lag, x_lag) and the null mean lam at the fit."""
+    if null_fit is None:
+        null_fit = (qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2), "count"))
+                    if domain == "count" else ols_fit_linear(panel, net))
+    if not null_fit.converged:
+        raise RuntimeError("null fit did not converge")
+    y_now, y_lag, x_lag = lagged_design(panel, net)
+    lam = mean_elementwise(ModelSpec.linear(null_fit.theta_hat, domain), x_lag, y_lag)
+    if domain == "count" and lam.min() <= 0:
+        raise RuntimeError("fitted intensities are not positive")
+    return null_fit, (y_now, y_lag, x_lag), lam
 
-    Eigenvalues below rel_cutoff times the largest or subnormal (their
-    inverse may overflow), and all negative ones (sampling noise here),
-    are treated as zero.  Returns (pinv, rank).
-    """
-    vals, vecs = np.linalg.eigh(0.5 * (mat + np.swapaxes(mat, -1, -2)))
-    floor = np.maximum(vals.max(axis=-1, initial=0.0) * rel_cutoff, np.finfo(float).tiny)
-    keep = vals > floor[..., None]
-    inv_vals = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-    return (vecs * inv_vals[..., None, :]) @ np.swapaxes(vecs, -1, -2), keep.sum(axis=-1)
+
+def _whiten(effective: np.ndarray):
+    """Thin SVD E = U S V' of effective scores (one (T-1) x k matrix or a
+    stack) and the rank of each: Sigma = E'E = V S^2 V', so x' Sigma^-1 x is
+    ||S^-1 V' x||^2 and w' E Sigma^-1 E' w is ||U'w||^2 without inverting
+    Sigma, whose condition number is the square of E's.  Singular values
+    with s^2 at most 1e-12 s_max^2, or subnormal, count as zero."""
+    u, s, vt = np.linalg.svd(effective, full_matrices=False)
+    sq = s * s
+    rank = (sq > np.maximum(1e-12 * sq[..., :1], np.finfo(float).tiny)).sum(axis=-1)
+    return u, s, vt, rank
 
 
 @dataclass
@@ -116,29 +131,18 @@ def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec,
     if alt_spec.family != "drift":
         raise ValueError("the identifiable-parameter test is against the drift family")
     domain = alt_spec.domain
-    linear = ModelSpec.linear(alt_spec.beta, domain)
-
-    if null_fit is None:
-        null_fit = (qmle_fit(panel, net, linear) if domain == "count"
-                    else ols_fit_linear(panel, net))
-    if not null_fit.converged:
-        raise RuntimeError("null fit did not converge")
+    null_fit, (y_now, y_lag, x_lag), lam = _null_design(panel, net, domain, null_fit)
     beta = null_fit.theta_hat
-
-    y_now, y_lag, x_lag = lagged_design(panel, net)
     # alternative evaluated at the constrained point (beta_hat, g = 0)
-    at_null = ModelSpec.drift(beta, 0.0, domain)
-    lam = mean_elementwise(ModelSpec.linear(beta, domain), x_lag, y_lag)
-    s_t, hess = _quasi_parts(at_null, y_now, y_lag, x_lag, lam)
+    s_t, hess = _quasi_parts(ModelSpec.drift(beta, 0.0, domain), y_now, y_lag, x_lag, lam)
     proj = hess if domain == "count" else s_t.T @ s_t
     effective = s_t[:, 3:] - s_t[:, :3] @ np.linalg.solve(proj[:3, :3], proj[:3, 3:])
-    sigma = effective.T @ effective
 
     partial = s_t.sum(axis=0)[3:]
-    pinv, rank = psd_pinv(sigma)
+    _, s, vt, rank = _whiten(effective)
     if rank < partial.shape[0]:
         raise np.linalg.LinAlgError("score covariance is singular")
-    stat, df = max(float(partial @ pinv @ partial), 0.0), 1
+    stat, df = float(np.sum(np.square(vt @ partial / s))), 1
     return ScoreTestResult(
         statistic=stat, df=df, p_value=chi2_sf(stat, df), method="chi2",
-        partial_score=partial, sigma_used=sigma, null_fit=null_fit)
+        partial_score=partial, sigma_used=effective.T @ effective, null_fit=null_fit)

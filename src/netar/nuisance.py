@@ -13,13 +13,15 @@ The linear block (scores of 1, X, Y and curvature H11) does not depend
 on g and is computed once; stnar forms only h(g) at each grid point, and
 tnar reads every point's s_t^(2)(g) and H12(g) from cumulative sums over
 one binning of the cells.  The curvature projects the linear block out of
-every per-time score; the outer product of these effective scores is the
-score covariance Sigma(g), and the bootstrap perturbs them directly.
+every per-time score; the outer product of these effective scores E(g) is
+the score covariance Sigma(g).  lintest._whiten factors E = U S V', so the
+statistic is ||U'1||^2 and Sigma(g) is never inverted.
 
 The supremum or average of the profile is calibrated either by the Davies
 upper bound (scalar smooth nuisance only) or by Hansen's multiplier
-bootstrap, which perturbs the per-time score contributions with a single
-shared N(0,1) weight per time index.
+bootstrap, which perturbs the per-time scores with a single shared N(0,1)
+weight w_t per time index: each draw is ||U'w||^2, the statistic's own
+formula at w in place of 1.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ import numpy as np
 
 from . import rng
 from .dgp import Panel
-from .lintest import chi2_sf, psd_pinv
-from .model import _N_ACTIVE, ModelSpec, _h_columns, mean_elementwise
+from .lintest import _null_design, _whiten, chi2_sf
+from .model import _N_ACTIVE, _h_columns
 from .netgraph import Network
-from .qmle import (FitResult, _score_parts, _weights, lagged_design, ols_fit_linear,
-                   qmle_fit)
+from .qmle import FitResult, _score_parts, _weights, lagged_design
+from .qmle import ols_fit_linear, qmle_fit  # noqa: F401  (names perfbench traces)
 
 __all__ = [
     "GammaGrid",
@@ -118,25 +120,29 @@ def default_grid(family: str, panel: Optional[Panel] = None,
 class LMProfile:
     """Profile of the quasi-score statistic over the nuisance grid.
 
-    per_time_scores[k] holds the (T-1) x k2 effective partial score
-    contributions at grid point k: the nonlinear-block score with the
-    linear-block score projected out through the curvature matrix,
-    s*_t = s_t^(2) - H21 H11^-1 s_t^(1).  Their total equals the partial
-    score at the constrained fit (where the linear-block score sums to
-    zero) and their outer product is the score covariance Sigma, which is
-    what lets the multiplier bootstrap reuse them directly.
-    sigma_pinv[k] is the pseudo-inverse of Sigma.
+    whitened[k] is the (T-1) x k2 left singular factor U of the effective
+    scores E at kept grid point k, E = U S V': the rows of E are the
+    nonlinear-block scores with the linear block projected out through
+    the curvature, e_t = s_t^(2) - H21 H11^-1 s_t^(1), and E'E is the
+    score covariance Sigma.  Their total is the partial score at the
+    constrained fit (where the linear-block score sums to zero), so the
+    statistic is lm[k] = ||U'1||^2, and a multiplier draw w gives
+    ||U'w||^2 with the same Sigma.
     """
 
     grid: np.ndarray
     lm: np.ndarray
     k2: int
-    per_time_scores: list
-    sigma_pinv: list
+    whitened: np.ndarray
     family: str
     domain: str
     null_fit: FitResult
     dropped: list = field(default_factory=list)
+
+
+def _whitened_stat(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """||U'w||^2 at every grid point (rows) for every column of w."""
+    return np.square(np.swapaxes(u, 1, 2) @ w).sum(axis=1)
 
 
 def _stnar_blocks(grid, x, y, resid, curf):
@@ -183,25 +189,16 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     The null linear fit and the linear block are shared across grid
     points.  Count panels use quasi-Poisson score weights (Y/lam - 1) and
     Y/lam^2 curvature weights; continuous panels use raw residuals and
-    unweighted curvature.  Each point's score covariance is the outer
-    product of its effective scores.  Degenerate grid points (vanishing or
-    collinear nonlinear regressors, subnormal or singular covariance) are
-    dropped with a warning rather than failing the whole profile.
+    unweighted curvature.  Each point's statistic is ||U'1||^2 from the SVD
+    of its effective scores E = U S V', whose outer product is the score
+    covariance.  Degenerate grid points (vanishing or collinear nonlinear
+    regressors, subnormal or singular covariance) are dropped with a
+    warning rather than failing the whole profile.
     """
     if family not in ("stnar", "tnar"):
         raise ValueError("profiled testing applies to the stnar and tnar families")
     k2 = _N_ACTIVE[family] - 3
-
-    if null_fit is None:
-        null_fit = (qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2), "count"))
-                    if domain == "count" else ols_fit_linear(panel, net))
-    if not null_fit.converged:
-        raise RuntimeError("null fit did not converge")
-
-    y_now, y_lag, x_lag = lagged_design(panel, net)
-    lam = mean_elementwise(ModelSpec.linear(null_fit.theta_hat, domain), x_lag, y_lag)
-    if domain == "count" and lam.min() <= 0:
-        raise RuntimeError("fitted intensities are not positive")
+    null_fit, (y_now, y_lag, x_lag), lam = _null_design(panel, net, domain, null_fit)
     resid, curf = _weights(domain, y_now, lam)
 
     s1, h11, ok, s2, h12 = (_tnar_blocks if family == "tnar" else _stnar_blocks)(
@@ -212,7 +209,7 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     except np.linalg.LinAlgError:                   # H11 is shared: every point fails
         why[ok] = "singular linear-block curvature"
     else:
-        pinv, rank = psd_pinv(np.swapaxes(effective, 1, 2) @ effective)
+        u, _, _, rank = _whiten(effective)
         why[np.flatnonzero(ok)[rank < k2]] = "singular score covariance"
     dropped = [(float(g), w) for g, w in zip(grid.values, why) if w]
     if dropped:
@@ -220,14 +217,10 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
                       + "; ".join(f"g={g:.4g} ({w})" for g, w in dropped))
     if all(why):
         raise RuntimeError("all grid points were degenerate")
-    good = rank >= k2
-    effective = effective[good]
-    total = effective.sum(axis=1)
+    u = u[rank >= k2]
     return LMProfile(
-        grid=grid.values[why == ""], k2=k2,
-        lm=np.maximum(np.einsum("ka,kab,kb->k", total, pinv[good], total), 0.0),
-        per_time_scores=list(effective), sigma_pinv=list(pinv[good]), family=family,
-        domain=domain, null_fit=null_fit, dropped=dropped)
+        grid=grid.values[why == ""], lm=_whitened_stat(u, np.ones((u.shape[1], 1)))[:, 0],
+        k2=k2, whitened=u, family=family, domain=domain, null_fit=null_fit, dropped=dropped)
 
 
 def aggregate(profile: LMProfile, g: str = "sup") -> float:
@@ -266,22 +259,18 @@ def score_bootstrap(profile: LMProfile, g: str = "sup", reps: int = 499,
                     seed: int = 0):
     """Multiplier-bootstrap p-value for the aggregated profile statistic.
 
-    Each replication draws one N(0,1) weight per time index, shared across
-    every grid point, and rebuilds the profile with the unperturbed score
-    covariance; replication j uses the stream derived from (seed, j), so
-    the result does not depend on execution order.  Returns
-    (p_value, draws).
+    Replication j draws one N(0,1) weight w_t per time index, shared across
+    every grid point, and rebuilds the profile as ||U'w||^2 from the
+    whitened scores, the observed statistic's formula at w in place of 1.
+    All weights come from the one stream (seed, 0xB5), drawn row by row as
+    a reps x (T-1) matrix, so the first j replications do not depend on
+    reps.  Returns (p_value, draws).
     """
     if reps < 1:
         raise ValueError("need at least one bootstrap replication")
     observed = aggregate(profile, g)
-    tm1 = profile.per_time_scores[0].shape[0]
-    weights = np.column_stack([rng.normal(rng.stream(seed, 0xB5, j), tm1)
-                               for j in range(reps)])
-
-    perturbed = np.swapaxes(profile.per_time_scores, 1, 2) @ weights   # G x k2 x reps
-    stats = np.maximum(np.einsum("gkj,gkl,glj->gj", perturbed, profile.sigma_pinv,
-                                 perturbed), 0.0)
+    weights = rng.normal(rng.stream(seed, 0xB5), (reps, profile.whitened.shape[1]))
+    stats = _whitened_stat(profile.whitened, weights.T)                # G x reps
     draws = stats.max(axis=0) if g == "sup" else stats.mean(axis=0)
     p = float(np.mean(draws >= observed))
     return p, draws

@@ -147,9 +147,8 @@ def test_criterion_08_oracle_suite():
     for _ in range(100):
         lm = rs3.uniform(0, 10, rs3.integers(2, 12))
         grid = np.linspace(0.1, 2.0, lm.size)
-        prof = na.LMProfile(grid=grid, lm=lm, k2=1, per_time_scores=[],
-                            sigma_pinv=[], family="stnar", domain="cont",
-                            null_fit=None)
+        prof = na.LMProfile(grid=grid, lm=lm, k2=1, whitened=None, family="stnar",
+                            domain="cont", null_fit=None)
         if davies_pvalue(prof) < chi2_sf(float(lm.max()), 1) - 1e-15:
             dominated = False
     checks.append(("Davies dominates pointwise", dominated, "100 profiles"))
@@ -157,9 +156,9 @@ def test_criterion_08_oracle_suite():
     # unit bootstrap weights reproduce the observed profile
     prof = lm_profile(panel, net, "stnar", GammaGrid(np.array([0.2, 0.8, 1.5])),
                       "count")
-    ones = np.ones(prof.per_time_scores[0].shape[0])
-    ident = max(abs(float(s.T @ ones @ prof.sigma_pinv[k] @ (s.T @ ones)) - prof.lm[k])
-                for k, s in enumerate(prof.per_time_scores))
+    ones = np.ones(prof.whitened.shape[1])
+    ident = max(abs(float(np.sum((u.T @ ones) ** 2)) - prof.lm[k])
+                for k, u in enumerate(prof.whitened))
     checks.append(("bootstrap unit-weight identity", ident < 1e-6, f"{ident:.2e}"))
 
     ok = all(c[1] for c in checks)

@@ -27,6 +27,19 @@ def test_stationary_mean_closed_form(small_net):
     assert np.allclose(mu, 15.0)
 
 
+@pytest.mark.xfail(strict=True, reason="the mean b0/(1-b1-b2) ignores zero-out-degree "
+                                       "nodes, whose X is 0, and their in-neighbours")
+def test_stationary_mean_with_zero_out_degree_node():
+    # 0 -> 1 -> 2 -> 0 and 0 -> 3; node 3 has no out-neighbours
+    with pytest.warns(UserWarning, match="zero out-degree"):
+        net = na.row_normalize(np.array([[0, 1], [1, 2], [2, 0], [0, 3]]), 4)
+    b0, b1, b2 = 1.5, 0.4, 0.5
+    mu, _ = stationary_init_linear_gaussian((b0, b1, b2), net, 1.0)
+    exact = b0 * np.linalg.solve(np.eye(4) - b1 * net.w.toarray() - b2 * np.eye(4), np.ones(4))
+    np.testing.assert_allclose(exact, [8.548387, 10.870968, 9.838710, 3.0], atol=1e-6)
+    np.testing.assert_allclose(mu, exact, rtol=1e-12)
+
+
 def test_stationary_cov_self_graph_matches_scalar_ar1():
     net = _self_graph(4)
     _, cov = stationary_init_linear_gaussian((1.0, 0.4, 0.5), net, 1.0)

@@ -5,7 +5,7 @@ import pytest
 
 import netar as na
 from netar.dgp import Panel, SimConfig
-from netar.lintest import chi2_sf, lm_test, psd_pinv, sigma_correction
+from netar.lintest import _whiten, chi2_sf, lm_test, sigma_correction
 from netar.model import ModelSpec, mean_elementwise
 from netar.nuisance import GammaGrid, _tnar_blocks, default_grid, lm_profile
 from netar.qmle import _quasi_parts, _weights, lagged_design
@@ -80,20 +80,22 @@ def test_sigma_correction_with_b_equal_h_is_schur_complement(rs):
     assert np.allclose(sigma_correction(h, h, 3), schur, atol=1e-10)
 
 
-def test_psd_pinv_handles_rank_deficiency():
-    mat = np.array([[2.0, 0.0], [0.0, 0.0]])
-    pinv, rank = psd_pinv(mat)
+def test_whiten_rank_rule_handles_rank_deficiency():
+    # an eigenvalue s^2 of E'E counts when above 1e-12 times the largest
+    u, s, vt, rank = _whiten(np.column_stack([np.arange(1.0, 6.0), np.zeros(5)]))
     assert rank == 1
-    assert pinv[0, 0] == pytest.approx(0.5)
-    assert pinv[1, 1] == 0.0
+    assert s[0] == pytest.approx(np.sqrt(55.0)) and s[1] < 1e-12
+    assert np.allclose(u[:, 0] * s[0] * vt[0, 0], np.arange(1.0, 6.0))
+    stack = np.stack([np.diag([1.0, 1.01e-6]), np.diag([1.0, 0.99e-6])])
+    assert list(_whiten(stack)[3]) == [2, 1]
 
 
-def test_psd_pinv_treats_subnormal_eigenvalues_as_zero():
-    # alone, a subnormal eigenvalue passes any relative cutoff; its inverse overflows
-    pinv, rank = psd_pinv(np.array([[1e-310]]))
-    assert rank == 0 and pinv[0, 0] == 0.0
-    pinv, rank = psd_pinv(np.diag([1e-300, 1e-310]))
-    assert rank == 1 and pinv[0, 0] == pytest.approx(1e300) and pinv[1, 1] == 0.0
+def test_whiten_treats_subnormal_squares_as_zero():
+    # alone, a singular value whose square is subnormal passes any relative
+    # cutoff; the whitening S^-1 would then overflow the statistic
+    assert _whiten(np.array([[1e-155]]))[3] == 0
+    _, s, _, rank = _whiten(np.diag([1e-150, 1e-155]))
+    assert rank == 1 and s[0] == pytest.approx(1e-150)
 
 
 # the quasi-score test -----------------------------------------------------------

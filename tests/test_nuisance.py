@@ -1,15 +1,17 @@
+import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import netar as na
 from netar.dgp import Panel, SimConfig
-from netar.lintest import chi2_sf, psd_pinv, sigma_correction
+from netar.lintest import chi2_sf, sigma_correction
 from netar.model import ModelSpec, _h_columns, mean_elementwise
-from netar.nuisance import (GammaGrid, LMProfile, aggregate, davies_pvalue,
-                            default_grid, lm_profile, run_profile_test,
+from netar.nuisance import (GammaGrid, LMProfile, _tnar_blocks, aggregate,
+                            davies_pvalue, default_grid, lm_profile, run_profile_test,
                             score_bootstrap)
 from netar.qmle import _score_parts, _weights, lagged_design
 
@@ -17,8 +19,8 @@ from netar.qmle import _score_parts, _weights, lagged_design
 def _profile_from(lm_values, k2=1, family="stnar"):
     lm_values = np.asarray(lm_values, dtype=float)
     grid = np.linspace(0.1, 2.0, lm_values.size)
-    return LMProfile(grid=grid, lm=lm_values, k2=k2, per_time_scores=[],
-                     sigma_pinv=[], family=family, domain="cont", null_fit=None)
+    return LMProfile(grid=grid, lm=lm_values, k2=k2, whitened=None, family=family,
+                     domain="cont", null_fit=None)
 
 
 # grids --------------------------------------------------------------------------
@@ -94,7 +96,7 @@ def test_single_point_profile_equals_fixed_gamma_statistic(small_net, family, fi
 
 def _per_point_profile(panel, net, family, grid, domain, null_fit):
     """The profile one grid point at a time on the explicit (1, X, Y, h(g))
-    stack: {g: (lm, effective scores, sigma pinv)} and the dropped points."""
+    stack: {g: (lm, effective scores)} and the dropped points."""
     y_now, y_lag, x_lag = lagged_design(panel, net)
     lam = mean_elementwise(ModelSpec.linear(null_fit.theta_hat, domain), x_lag, y_lag)
     resid, curf = _weights(domain, y_now, lam)
@@ -107,13 +109,14 @@ def _per_point_profile(panel, net, family, grid, domain, null_fit):
             continue
         s_t, hess = _score_parts(np.stack([np.ones_like(x_lag), x_lag, y_lag, *cols]),
                                  resid, curf)
-        pinv, rank = psd_pinv(sigma_correction(hess, s_t.T @ s_t, 3))
-        if rank < len(cols):
+        sigma = sigma_correction(hess, s_t.T @ s_t, 3)
+        vals = np.linalg.eigvalsh(sigma)
+        if np.sum(vals > max(1e-12 * vals.max(), np.finfo(float).tiny)) < len(cols):
             dropped.append((float(g), "singular score covariance"))
             continue
         effective = s_t[:, 3:] - s_t[:, :3] @ np.linalg.solve(hess[:3, :3], hess[:3, 3:])
         total = effective.sum(axis=0)
-        kept[float(g)] = (max(float(total @ pinv @ total), 0.0), effective, pinv)
+        kept[float(g)] = (float(total @ np.linalg.solve(sigma, total)), effective)
     return kept, dropped
 
 
@@ -158,14 +161,12 @@ def test_profile_matches_per_point_reference(small_net, family, fixture, grid_ki
     def rel(a, b):
         return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
-    for k, (lm, effective, pinv) in enumerate(kept.values()):
+    for k, (lm, effective) in enumerate(kept.values()):
         assert prof.lm[k] == pytest.approx(lm, rel=1e-10)
-        assert rel(prof.per_time_scores[k], effective) <= 1e-10
-        # inverting a covariance whose condition number reaches 1.5e6 (the top
-        # default tnar point on cont_panel) turns rounding in the summation
-        # order into up to ~3e-10 relative change in the pseudo-inverse; the
-        # per-point result is itself 2e-10 from a long-double evaluation there
-        assert rel(prof.sigma_pinv[k], pinv) <= 1e-9
+        # U has orthonormal columns spanning the reference effective scores
+        u = prof.whitened[k]
+        assert np.allclose(u.T @ u, np.eye(u.shape[1]), rtol=0, atol=1e-12)
+        assert rel(u @ (u.T @ effective), effective) <= 1e-10
 
 
 def test_huge_gamma_point_dropped_with_warning(small_net, cont_panel):
@@ -176,11 +177,21 @@ def test_huge_gamma_point_dropped_with_warning(small_net, cont_panel):
     assert prof.dropped and prof.dropped[0][0] == pytest.approx(1e6)
 
 
+def _assert_whitens(u, effective, sigma, rs):
+    """||U'w||^2 = w' E Sigma^-1 E' w for w = 1 and three N(0, 1) draws.  Solving
+    with the four-term Sigma at condition number 1.5e6 (the top default tnar
+    point on cont_panel) is itself up to 2e-10 from the exact rational value."""
+    w = np.column_stack([np.ones(u.shape[0]), rs.normal(size=(u.shape[0], 3))])
+    ew = effective.T @ w
+    np.testing.assert_allclose(np.sum((u.T @ w) ** 2, axis=0),
+                               np.sum(ew * np.linalg.solve(sigma, ew), axis=0), rtol=1e-9)
+
+
 @pytest.mark.parametrize("family, fixture", [
     ("stnar", "count_panel"), ("stnar", "cont_panel"),
     ("tnar", "count_panel"), ("tnar", "cont_panel")])
-def test_profile_sigma_is_the_four_term_correction(small_net, family, fixture, request):
-    # lm_profile inverts the outer product of the effective scores it returns
+def test_profile_sigma_is_the_four_term_correction(small_net, family, fixture, request, rs):
+    # lm_profile whitens by the outer product of the effective scores
     panel = request.getfixturevalue(fixture)
     domain = "cont" if fixture == "cont_panel" else "count"
     with warnings.catch_warnings():
@@ -190,12 +201,12 @@ def test_profile_sigma_is_the_four_term_correction(small_net, family, fixture, r
     y_now, y_lag, x_lag = lagged_design(panel, small_net)
     lam = mean_elementwise(ModelSpec.linear(prof.null_fit.theta_hat, domain), x_lag, y_lag)
     resid, curf = _weights(domain, y_now, lam)
-    for g, scores in zip(prof.grid, prof.per_time_scores):
+    for g, u in zip(prof.grid, prof.whitened):
         cols = _h_columns(family, g, x_lag, y_lag)
         s_t, hess = _score_parts(np.stack([np.ones_like(x_lag), x_lag, y_lag, *cols]),
                                  resid, curf)
-        four_term = sigma_correction(hess, s_t.T @ s_t, 3)
-        assert scores.T @ scores == pytest.approx(four_term, rel=1e-10)
+        effective = s_t[:, 3:] - s_t[:, :3] @ np.linalg.solve(hess[:3, :3], hess[:3, 3:])
+        _assert_whitens(u, effective, sigma_correction(hess, s_t.T @ s_t, 3), rs)
 
 
 def test_subnormal_score_covariance_dropped(small_net, cont_panel):
@@ -225,15 +236,13 @@ def test_profile_h0_calibration_count():
     assert np.all(np.abs(means - 1.0) < 0.3)
 
 
-def test_effective_score_outer_product_matches_sigma(small_net, cont_panel):
+def test_effective_score_outer_product_matches_sigma(small_net, cont_panel, rs):
     # the retained bootstrap scores must reproduce the corrected covariance
     full = default_grid("tnar", panel=cont_panel, net=small_net)
     grid = GammaGrid(full.values[[2, 6]])
     prof = lm_profile(cont_panel, small_net, "tnar", grid, "cont")
     y_now, y_lag, x_lag = lagged_design(cont_panel, small_net)
     for k, gamma in enumerate(prof.grid):
-        scores = prof.per_time_scores[k]
-        opg_eff = scores.T @ scores
         beta = prof.null_fit.theta_hat
         lam = beta[0] + beta[1] * x_lag + beta[2] * y_lag
         resid = y_now - lam
@@ -242,8 +251,39 @@ def test_effective_score_outer_product_matches_sigma(small_net, cont_panel):
                       y_lag * ind])
         s_t = np.einsum("ant,nt->ta", z, resid)
         hess = np.einsum("ant,bnt->ab", z, z)
-        sigma = sigma_correction(hess, s_t.T @ s_t, 3)
-        assert np.allclose(opg_eff, sigma, rtol=1e-8)
+        effective = s_t[:, 3:] - s_t[:, :3] @ np.linalg.solve(hess[:3, :3], hess[:3, 3:])
+        _assert_whitens(prof.whitened[k], effective,
+                        sigma_correction(hess, s_t.T @ s_t, 3), rs)
+
+
+def _exact_lm(effective):
+    """1' E (E'E)^-1 E' 1 in exact rational arithmetic from the float E."""
+    rows = [[Fraction(v) for v in row] for row in effective.tolist()]
+    k = len(rows[0])
+    total = [sum(r[a] for r in rows) for a in range(k)]
+    aug = [[sum(r[a] * r[b] for r in rows) for b in range(k)] + [total[a]] for a in range(k)]
+    for i in range(k):                              # Gauss-Jordan; E'E is positive definite
+        aug[i] = [v / aug[i][i] for v in aug[i]]
+        for j in range(k):
+            if j != i:
+                aug[j] = [v - aug[j][i] * p for v, p in zip(aug[j], aug[i])]
+    return float(sum(total[i] * aug[i][k] for i in range(k)))
+
+
+def test_ill_conditioned_tnar_point_matches_exact_lm(small_net, cont_panel):
+    # the top point counts all but 3 of 5970 cells and cond(Sigma) = 1.9e10
+    # there: inverting Sigma = E'E instead of whitening E left lm 2.8e-6 off
+    x = small_net.w @ cont_panel.values[:, :-1]
+    grid = GammaGrid(np.quantile(x, np.linspace(0.001, 0.9995, 40)))
+    prof = lm_profile(cont_panel, small_net, "tnar", grid, "cont")
+    assert np.array_equal(prof.grid, grid.values)
+    y_now, y_lag, x_lag = lagged_design(cont_panel, small_net)
+    lam = mean_elementwise(ModelSpec.linear(prof.null_fit.theta_hat, "cont"), x_lag, y_lag)
+    s1, h11, _, s2, h12 = _tnar_blocks(grid.values, x_lag, y_lag, *_weights("cont", y_now, lam))
+    effective = s2 - s1 @ np.linalg.solve(h11, h12)
+    assert np.linalg.cond(effective[-1]) ** 2 > 1e10
+    lm = _exact_lm(effective[-1])
+    assert abs(prof.lm[-1] - lm) <= 1e-9 * lm
 
 
 # aggregation and Davies ---------------------------------------------------------
@@ -304,16 +344,10 @@ def test_bootstrap_counting_bounds(small_net, cont_panel):
     prof = lm_profile(cont_panel, small_net, "stnar",
                       GammaGrid(np.array([0.3, 0.9])), "cont")
     # artificially shift the observed statistic to the extremes
-    lo = LMProfile(grid=prof.grid, lm=np.full_like(prof.lm, -1.0), k2=1,
-                   per_time_scores=prof.per_time_scores,
-                   sigma_pinv=prof.sigma_pinv, family="stnar", domain="cont",
-                   null_fit=prof.null_fit)
+    lo = dataclasses.replace(prof, lm=np.full_like(prof.lm, -1.0))
     p_lo, _ = score_bootstrap(lo, reps=50, seed=3)
     assert p_lo == 1.0
-    hi = LMProfile(grid=prof.grid, lm=np.full_like(prof.lm, 1e9), k2=1,
-                   per_time_scores=prof.per_time_scores,
-                   sigma_pinv=prof.sigma_pinv, family="stnar", domain="cont",
-                   null_fit=prof.null_fit)
+    hi = dataclasses.replace(prof, lm=np.full_like(prof.lm, 1e9))
     p_hi, _ = score_bootstrap(hi, reps=50, seed=3)
     assert p_hi == 0.0
 
@@ -328,10 +362,9 @@ def test_unit_weights_reproduce_observed_profile(small_net, count_panel, cont_pa
     for panel, dom in ((cont_panel, "cont"), (count_panel, "count")):
         prof = lm_profile(panel, small_net, "stnar",
                           GammaGrid(np.array([0.2, 0.8, 1.5])), dom)
-        ones = np.ones(prof.per_time_scores[0].shape[0])
+        ones = np.ones(prof.whitened.shape[1])
         for k in range(prof.lm.size):
-            s = prof.per_time_scores[k].T @ ones
-            lm_unit = float(s @ prof.sigma_pinv[k] @ s)
+            lm_unit = float(np.sum((prof.whitened[k].T @ ones) ** 2))
             assert lm_unit == pytest.approx(prof.lm[k], rel=1e-6, abs=1e-8)
 
 
@@ -343,6 +376,9 @@ def test_bootstrap_deterministic_given_seed(small_net, cont_panel):
     p3, _ = score_bootstrap(prof, reps=99, seed=12)
     assert p1 == p2 and np.array_equal(d1, d2)
     assert not np.isclose(p1, p3) or not np.array_equal(d1, _)
+    # the first replications do not depend on how many follow
+    _, d4 = score_bootstrap(prof, reps=50, seed=11)
+    np.testing.assert_allclose(d4, d1[:50], rtol=1e-12, atol=0)
 
 
 def test_bootstrap_p_nonincreasing_in_observed_statistic(small_net, cont_panel):
