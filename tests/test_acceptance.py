@@ -218,7 +218,7 @@ def test_criterion_04_null_lm_distribution():
     cfg = StudyConfig(scenarios=[Scenario.from_dict({
         "name": "lm-null", "network": {"model": "sbm", "k": 2},
         "n": 100, "t": 200, "domain": "cont", "theta": (1.5, 0.4, 0.5),
-        "burn_in": 0, "reps": 1000, "test": {"kind": "chi2"},
+        "burn_in": 0, "reps": 2000, "test": {"kind": "chi2"},
     })], base_seed=20240604)
     _, raw = run_mc_study(cfg)
     lm = raw["lm-null"]
@@ -233,7 +233,7 @@ def test_criterion_05_davies_stnar_size():
     cfg = StudyConfig(scenarios=[Scenario.from_dict({
         "name": "davies-size", "network": {"model": "sbm", "k": 2},
         "n": 200, "t": 200, "domain": "cont", "theta": (1.0, 0.3, 0.2),
-        "burn_in": 0, "reps": 300,
+        "burn_in": 0, "reps": 2000,
         "test": {"kind": "davies", "alt": "stnar"},
     })], base_seed=20240605)
     rows, _ = run_mc_study(cfg)
