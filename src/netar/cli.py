@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .dgp import CopulaSpec, SimConfig, simulate_count, simulate_gaussian
@@ -27,6 +31,8 @@ from .nuisance import run_profile_test
 from .qmle import ols_fit_linear, qmle_fit
 from .studio import (StudyConfig, _parse_grid, emit_report, load_panel_csv,
                      run_mc_study, save_panel_csv, write_raw_draws)
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _domain(family: str) -> str:
@@ -112,12 +118,23 @@ def _cmd_test_sup(args) -> None:
     _write_json(res.to_dict(), args.out)
 
 
+def _run_meta(cfg: StudyConfig, args) -> dict:
+    """Seed, versions, worker count and BLAS build and threads of an mc run."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # older numpy builds have no "dicts" mode
+        blas = {}
+    return {"base_seed": cfg.base_seed, "tool_version": __version__, "config": args.config,
+            "workers": args.threads, "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_thread_env": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}}
+
+
 def _cmd_mc(args) -> None:
     cfg = StudyConfig.from_json(args.config)
     rows, raw = run_mc_study(cfg, threads=args.threads)
-    meta = {"base_seed": cfg.base_seed, "tool_version": __version__,
-            "config": args.config}
-    emit_report(rows, args.out, fmt=args.format, meta=meta)
+    emit_report(rows, args.out, fmt=args.format, meta=_run_meta(cfg, args))
     if args.qq_out:
         write_raw_draws(raw, args.qq_out)
 

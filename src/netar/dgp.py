@@ -1,8 +1,8 @@
 """Data generation for network autoregressions.
 
 Continuous panels follow Y_t = lam_t + xi_t with i.i.d. Gaussian errors;
-the linear family can start from its exact stationary Gaussian law, whose
-covariance solves the discrete Lyapunov equation S = G S G' + s^2 I.
+the linear family can start in its stationary Gaussian law, reached by
+warm-up steps of the linear recursion Y <- b0 + (b1 W + b2 I) Y + s xi.
 
 Count panels are generated through a Gaussian-copula waiting-time
 construction: unit-exponential inter-arrival times are built from copula
@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import rng
-from .model import ModelSpec, cond_mean, stability_check
+from .model import ModelSpec, cond_mean, mean_elementwise, stability_check
 from .netgraph import Network
 
 __all__ = [
@@ -39,6 +39,7 @@ STRUCTURES = ("identity", "ar1", "exch")
 # the named starts of each domain's simulator (besides a scalar or a length-N vector)
 INIT_MODES = {"cont": ("default", "stationary", "linear-stationary", "zero"),
               "count": ("default", "zero")}
+_TAIL_TOL = 1e-10  # bound on the stationary series' omitted tail, relative to sigma^2
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,21 @@ class SimConfig:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
+def _warmup_steps(b1: float, b2: float) -> int:
+    """Least K at which sum_{j<K} G^j sigma*xi_j omits at most _TAIL_TOL*sigma^2.
+
+    W has row sums 1 or 0, so ||G^j||_inf <= rho^j with rho = |b1|+|b2|, and
+    in every covariance entry the terms j >= K sum to at most
+    sigma^2 rho^(2K) / (1 - rho^2).
+    """
+    rho = abs(b1) + abs(b2)
+    if rho >= 1.0:
+        raise ValueError("stationary initialization needs |b1|+|b2| < 1")
+    if rho == 0.0:
+        return 1
+    return int(np.log(_TAIL_TOL * (1.0 - rho * rho)) / (2.0 * np.log(rho))) + 1
+
+
 def stationary_init_linear_gaussian(beta, net: Network, sigma: float):
     """Mean and covariance of the stationary law of the linear Gaussian model.
 
@@ -150,49 +166,31 @@ def stationary_init_linear_gaussian(beta, net: Network, sigma: float):
     S <- S + A S A', A <- A^2 from A = G, S = sigma^2 I (Smith 1968,
     SIAM J. Appl. Math. 16:198): step s adds the terms 2^s <= j < 2^(s+1),
     and the sum stops when a step adds at most 1e-10 * sigma^2 in max-abs
-    (the N^2 x N^2 Kronecker system is never formed).
+    (the N^2 x N^2 Kronecker system is never formed).  The sampler does not
+    use it; it is the reference for the law of simulate_gaussian's start.
     """
     b0, b1, b2 = (float(b) for b in beta)
-    rho = abs(b1) + abs(b2)
-    if rho >= 1.0:
-        raise ValueError("stationary initialization needs |b1|+|b2| < 1")
+    k = _warmup_steps(b1, b2)
     sigma = float(sigma)
     if not np.isfinite(sigma) or sigma < 0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     n = net.n
     mu = np.full(n, b0 / (1.0 - b1 - b2))
 
-    # W has row sums 1 or 0, so ||G^j||_inf <= rho^j, every entry of term j
-    # is at most sigma^2 rho^(2j), and the terms j >= k sum to at most
-    # sigma^2 rho^(2k) / (1 - rho^2), which is below rel_tol * sigma^2 for
-    # k > k_min.  The step that adds the terms from 2^s >= floor(k_min) + 1
-    # on therefore stops the sum.
-    rel_tol = 1e-10
-    k_min = (np.log(rel_tol * (1.0 - rho * rho)) / (2.0 * np.log(rho))
-             if rho > 0.0 else 0.0)
-    steps = int(np.ceil(np.log2(np.floor(k_min) + 1.0))) + 1
-
+    # the step that adds the terms from 2^s >= k on stops the sum
+    steps = int(np.ceil(np.log2(k))) + 1
     a = b1 * net.w.toarray() + b2 * np.eye(n)
     cov = sigma * sigma * np.eye(n)
     for _ in range(steps):
         delta = a @ cov @ a.T
         cov += delta
-        if np.max(np.abs(delta)) <= rel_tol * sigma * sigma:
+        if np.max(np.abs(delta)) <= _TAIL_TOL * sigma * sigma:
             break
         a = a @ a
     else:  # pragma: no cover - by the tail bound the last step stops
         raise RuntimeError("Lyapunov doubling iteration did not converge")
     cov = 0.5 * (cov + cov.T)
     return mu, cov
-
-
-@lru_cache(maxsize=8)
-def _stationary_chol(net: Network, beta: tuple, sigma: float):
-    mu, cov = stationary_init_linear_gaussian(beta, net, sigma)
-    # tiny jitter guards numerically semi-definite solutions at sigma ~ 0
-    scale = max(np.max(np.diag(cov)), 1e-30)
-    chol = np.linalg.cholesky(cov + 1e-12 * scale * np.eye(net.n))
-    return mu, chol
 
 
 def _resolve_init(init, n: int, domain: str):
@@ -212,9 +210,10 @@ def _resolve_init(init, n: int, domain: str):
 def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
     """Continuous-panel recursion Y_t = cond_mean(Y_{t-1}) + sigma*xi_t.
 
-    Initialization modes:
-      "stationary"        exact stationary Gaussian start, linear family
-                          only, no burn-in.
+    Initialization modes (the noise of all steps is one matrix draw):
+      "stationary"        stationary Gaussian start, linear family only, no
+                          burn-in: K unstored steps of the linear recursion
+                          from mu0 = b0/(1-b1-b2) (see _warmup_steps).
       "linear-stationary" Y_0 drawn from the stationary law of the embedded
                           linear part; valid for every family (identical to
                           "stationary" for the linear one).  With burn_in=0
@@ -222,8 +221,8 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
                           the relaxation of a nonlinear model away from the
                           linear start is part of the observed sample.
       "zero" / vector / scalar   fixed start, cfg.burn_in steps discarded.
-      "default"           "stationary" for linear; embedded-linear mean plus
-                          burn-in for nonlinear families.
+      "default"           "stationary" for linear; mu0 plus burn-in for
+                          nonlinear families.
     """
     if spec.domain != "cont":
         raise ValueError("simulate_gaussian requires a continuous-domain spec")
@@ -238,28 +237,27 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
             "the exact stationary start exists for the linear family only; "
             "use 'linear-stationary' or a fixed start plus burn-in")
 
-    if mode in ("stationary", "linear-stationary"):
-        mu, chol = _stationary_chol(net, spec.beta, cfg.sigma)
-        y = mu + chol @ rng.normal(gen, net.n)
-        burn = 0 if mode == "stationary" else cfg.burn_in
-    elif mode == "mean":
-        b0, b1, b2 = spec.beta
+    b0, b1, b2 = spec.beta
+    warm = _warmup_steps(b1, b2) if mode in ("stationary", "linear-stationary") else 0
+    if mode == "zero":
+        y = np.zeros(net.n)
+    elif mode == "fixed":
+        y = init.copy()
+    else:
         denom = 1.0 - b1 - b2
         y = np.full(net.n, b0 / denom if denom > 0 else 0.0)
-        burn = cfg.burn_in
-    elif mode == "zero":
-        y = np.zeros(net.n)
-        burn = cfg.burn_in
-    else:
-        y = init.copy()
-        burn = cfg.burn_in
+    burn = 0 if mode == "stationary" else cfg.burn_in
 
-    total = burn + cfg.T
-    out = np.empty((net.n, total))
+    total = warm + burn + cfg.T
+    noise = rng.normal(gen, (total, net.n), sd=cfg.sigma) if cfg.sigma > 0 else None
+    linear = ModelSpec.linear(spec.beta, "cont")
+    out = np.empty((net.n, burn + cfg.T))
     for t in range(total):
-        lam = cond_mean(spec, net, y)
-        y = lam + rng.normal(gen, net.n, sd=cfg.sigma) if cfg.sigma > 0 else lam
-        out[:, t] = y
+        lam = (mean_elementwise(linear, net.w @ y, y) if t < warm
+               else cond_mean(spec, net, y))
+        y = lam if noise is None else lam + noise[t]
+        if t >= warm:
+            out[:, t - warm] = y
     return Panel(out[:, burn:])
 
 

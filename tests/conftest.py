@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import netar as na
+from netar import rng
 
 
 def pytest_addoption(parser):
@@ -39,9 +40,23 @@ def count_panel(small_net):
 
 @pytest.fixture(scope="session")
 def cont_panel(small_net):
+    # A seed-7 stationary panel drawn as Y_0 = mu + L xi from the Cholesky
+    # factor L of the stationary covariance, then 200 steps of the
+    # recursion. The sampler now reaches its start by warm-up steps
+    # instead, but the conditioning tests need these exact values: an
+    # ill-conditioned tnar point (cond(E)^2 in [1e9, 1e16]), an stnar point
+    # with subnormal scores at g = 3.12875, and a four-term reference that
+    # is within 1e-10 of the exact lm.
     spec = na.ModelSpec.linear((1.5, 0.4, 0.5), "cont")
-    cfg = na.SimConfig(T=200, seed=7)
-    return na.simulate_gaussian(spec, small_net, cfg)
+    mu, cov = na.stationary_init_linear_gaussian(spec.beta, small_net, 1.0)
+    chol = np.linalg.cholesky(cov + 1e-12 * np.max(np.diag(cov)) * np.eye(small_net.n))
+    gen = rng.stream(7, 0x51)
+    y = mu + chol @ rng.normal(gen, small_net.n)
+    out = np.empty((small_net.n, 200))
+    for t in range(200):
+        y = na.cond_mean(spec, small_net, y) + rng.normal(gen, small_net.n)
+        out[:, t] = y
+    return na.Panel(out)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
 from netar.cli import main
 from netar.studio import load_panel_csv
@@ -78,7 +79,7 @@ def test_cli_sim_deterministic(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
-def test_cli_mc_run(tmp_path):
+def test_cli_mc_run(tmp_path, monkeypatch):
     config = {
         "base_seed": 5,
         "scenarios": [{
@@ -99,6 +100,20 @@ def test_cli_mc_run(tmp_path):
     lines = out_file.read_text().strip().splitlines()
     assert len(lines) == 2 + 3
     assert len(qq_file.read_text().strip().splitlines()) == 1 + 4
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    json_file = tmp_path / "results.json"
+    assert main(["mc", "run", "--config", str(cfg_file), "-o", str(json_file),
+                 "--threads", "1", "--format", "json"]) == 0
+    meta = json.loads(json_file.read_text())["meta"]
+    assert meta["base_seed"] == 5 and meta["workers"] == 1
+    assert meta["numpy_version"] == np.__version__
+    assert meta["scipy_version"] == scipy.__version__
+    assert set(meta["blas"]) == {"name", "version"}
+    env = meta["blas_thread_env"]
+    assert set(env) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None
 
 
 def test_cli_version_and_bad_args(capsys):

@@ -5,7 +5,7 @@ from scipy import linalg, stats
 
 import netar as na
 from netar import rng
-from netar.dgp import (CopulaSpec, SimConfig, copula_poisson_draw,
+from netar.dgp import (CopulaSpec, SimConfig, _warmup_steps, copula_poisson_draw,
                        draw_copula_uniform, simulate_count, simulate_gaussian,
                        stationary_init_linear_gaussian)
 from netar.model import ModelSpec
@@ -27,17 +27,69 @@ def test_stationary_mean_closed_form(small_net):
     assert np.allclose(mu, 15.0)
 
 
-@pytest.mark.xfail(strict=True, reason="the mean b0/(1-b1-b2) ignores zero-out-degree "
-                                       "nodes, whose X is 0, and their in-neighbours")
-def test_stationary_mean_with_zero_out_degree_node():
+def _zero_out_degree_graph():
     # 0 -> 1 -> 2 -> 0 and 0 -> 3; node 3 has no out-neighbours
     with pytest.warns(UserWarning, match="zero out-degree"):
         net = na.row_normalize(np.array([[0, 1], [1, 2], [2, 0], [0, 3]]), 4)
     b0, b1, b2 = 1.5, 0.4, 0.5
-    mu, _ = stationary_init_linear_gaussian((b0, b1, b2), net, 1.0)
     exact = b0 * np.linalg.solve(np.eye(4) - b1 * net.w.toarray() - b2 * np.eye(4), np.ones(4))
     np.testing.assert_allclose(exact, [8.548387, 10.870968, 9.838710, 3.0], atol=1e-6)
+    return net, (b0, b1, b2), exact
+
+
+@pytest.mark.xfail(strict=True, reason="the mean b0/(1-b1-b2) ignores zero-out-degree "
+                                       "nodes, whose X is 0, and their in-neighbours")
+def test_stationary_mean_with_zero_out_degree_node():
+    net, beta, exact = _zero_out_degree_graph()
+    mu, _ = stationary_init_linear_gaussian(beta, net, 1.0)
     np.testing.assert_allclose(mu, exact, rtol=1e-12)
+
+
+def test_sampler_stationary_mean_with_zero_out_degree_node():
+    # the warm-up runs the recursion itself, so it reaches b0 (I - G)^-1 1
+    # wherever its constant start b0/(1-b1-b2) is off
+    net, beta, exact = _zero_out_degree_graph()
+    spec = ModelSpec.linear(beta, "cont")
+    panel = simulate_gaussian(spec, net, SimConfig(T=3, seed=0, sigma=0.0, init="stationary"))
+    np.testing.assert_allclose(panel.values[:, 0], exact, rtol=0, atol=1e-4)
+
+
+@pytest.mark.parametrize("b1, b2", [(0.4, 0.5), (0.49, 0.5), (-0.3, 0.6), (0.05, 0.0),
+                                    (0.0, -0.7), (0.5, 0.4999)])
+def test_warmup_steps_meet_the_tail_bound(b1, b2):
+    # the terms j >= K of the stationary series sum to at most
+    # rho^(2K) / (1 - rho^2) per unit noise variance
+    rho = abs(b1) + abs(b2)
+    k = _warmup_steps(b1, b2)
+    tail = lambda k: rho ** (2 * k) / (1.0 - rho * rho)  # noqa: E731
+    assert tail(k) <= 1e-10 < tail(k - 1)
+
+
+def test_warmup_steps_edge_cases():
+    assert _warmup_steps(0.4, 0.5) == 118
+    assert _warmup_steps(0.0, 0.0) == 1
+    with pytest.raises(ValueError, match=r"\|b1\|\+\|b2\| < 1"):
+        _warmup_steps(0.6, -0.4)
+
+
+def test_stationary_start_has_the_stationary_law():
+    # Y_1 of 2000 seeds on the complete 3-node graph, rho = 0.9.  Each node's
+    # draws and the draws of Y_1[0] + Y_1[1] (which pins the covariance of
+    # nodes 0 and 1 given their variances) are i.i.d. normal, so
+    # (S-1) s^2 / var is exactly chi2(S-1).  Each of the four bands leaves
+    # 2.5e-5 outside it, 1e-4 in all.  With K cut to 5 the sum's variance is
+    # 26% low and the test fails with probability 1 - 1.2e-7.
+    net = na.row_normalize([(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)], 3)
+    spec = ModelSpec.linear((1.5, 0.4, 0.5), "cont")
+    reps = 2000
+    first = np.array([simulate_gaussian(spec, net, SimConfig(T=1, seed=s, init="stationary"))
+                      .values[:, 0] for s in range(reps)])
+    _, cov = stationary_init_linear_gaussian(spec.beta, net, 1.0)
+    combos = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 1.0, 0]])
+    lo, hi = stats.chi2.ppf([1.25e-5, 1 - 1.25e-5], reps - 1) / (reps - 1)
+    for c in combos:
+        ratio = np.var(first @ c, ddof=1) / (c @ cov @ c)
+        assert lo <= ratio <= hi, (c, ratio, lo, hi)
 
 
 def test_stationary_cov_self_graph_matches_scalar_ar1():
@@ -99,26 +151,26 @@ def test_nonfinite_sigma_rejected(small_net, sigma):
         stationary_init_linear_gaussian((1.5, 0.4, 0.5), small_net, sigma)
 
 
-# Y_1 and Y_2 of the seed-7 stationary-start panel, recorded with the earlier
-# fixed-point Lyapunov solver: a change to the stream of stationary starts
-# (the draw mu + chol @ xi) shows here
+# Y_1 and Y_2 of the seed-7 stationary-start panel, recorded when the start
+# became K warm-up steps of the linear recursion: a change to the stream of
+# stationary starts (the one (K + T) x N noise draw) shows here
 _PINNED_STATIONARY_PANEL = np.array([
-    [13.291673347276204, 16.511413320983735, 14.457709495505, 13.503043392253607,
-     14.653118493660978, 13.922346561581989, 13.315658927372409, 15.3540523571886,
-     14.591188721136385, 15.654961117264723, 16.99259979068247, 14.152323565981476,
-     12.77032030538295, 15.005767334737321, 15.067755794786905, 16.021202711000605,
-     14.145368913705026, 14.941952973606258, 15.90808144831802, 16.58813010759928,
-     14.275065333684228, 14.213717256698267, 13.924668224314217, 15.927992239199481,
-     14.981384446285823, 14.19925580574427, 12.460389791406264, 14.72861156955034,
-     13.161530331898167, 15.162556239109103],
-    [13.662352462485268, 15.501812192099438, 15.353210723433667, 15.050341757661254,
-     13.948562312369543, 15.287367917527067, 11.632010499390146, 14.30917542128289,
-     16.09663209809799, 16.108374646849374, 14.978862564121581, 15.124291190027964,
-     13.570029890921832, 14.50117578562533, 16.475034085754384, 16.858960685782435,
-     14.953292808829719, 15.095949914071774, 15.941615171735046, 17.167770492565126,
-     15.83513167865152, 13.89870675176183, 14.503957157936348, 14.518107238914114,
-     15.588694222836745, 15.833418746849034, 13.136281199831215, 13.506962182937087,
-     12.64169844342799, 13.566968595679832]]).T
+    [15.006130767491973, 14.80724870639037, 12.638605924150928, 15.432577735420214,
+     15.656284666820696, 14.409845948952702, 14.361442576561114, 15.736816814771872,
+     14.193494904315969, 14.85545177116982, 14.464191877112306, 16.748126352687052,
+     15.762178001066866, 13.526447059443079, 15.685620179724113, 13.293629599502163,
+     13.874505660636121, 15.110182699604403, 16.546830154129722, 15.140207179758537,
+     16.553371272516486, 16.24953372265792, 14.181048852538805, 13.866818828507641,
+     14.950015090948526, 13.227397862660911, 15.154856330094704, 13.292855825253243,
+     15.023400344605632, 16.58907656250672],
+    [13.10639880447876, 14.050818649302457, 14.469040467974892, 14.562061861467347,
+     14.056497403331647, 15.078665622122756, 16.500531844753112, 15.316212277779172,
+     14.803243037355312, 14.13652079845309, 17.362136181648808, 16.333070701134062,
+     16.21799049194483, 13.5662536876619, 15.068150606000462, 14.828258830762703,
+     13.775275683082516, 15.712611084797732, 16.80213390429218, 13.720843618145079,
+     16.564791614724914, 14.634947959255872, 13.723790021479225, 12.970154593568246,
+     15.702215295539201, 14.06392088263215, 14.421094719195505, 16.14455527960658,
+     14.831820746451552, 13.993544985512727]]).T
 
 
 def test_stationary_start_stream_is_pinned(small_net):
