@@ -122,7 +122,7 @@ def _run_meta(cfg: StudyConfig, args) -> dict:
     """Seed, versions, worker count and BLAS build and threads of an mc run."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # older numpy builds have no "dicts" mode
+    except (TypeError, KeyError):  # older numpy has no "dicts" mode
         blas = {}
     return {"base_seed": cfg.base_seed, "tool_version": __version__, "config": args.config,
             "workers": args.threads, "numpy_version": np.__version__,

@@ -40,13 +40,12 @@ def count_panel(small_net):
 
 @pytest.fixture(scope="session")
 def cont_panel(small_net):
-    # A seed-7 stationary panel drawn as Y_0 = mu + L xi from the Cholesky
-    # factor L of the stationary covariance, then 200 steps of the
-    # recursion. The sampler now reaches its start by warm-up steps
-    # instead, but the conditioning tests need these exact values: an
-    # ill-conditioned tnar point (cond(E)^2 in [1e9, 1e16]), an stnar point
-    # with subnormal scores at g = 3.12875, and a four-term reference that
-    # is within 1e-10 of the exact lm.
+    # A seed-7 stationary panel whose start is drawn as Y_0 = mu + L xi from
+    # the Cholesky factor L of the stationary covariance, then 200 steps of
+    # the recursion.  simulate_gaussian's warm-up start gives other values,
+    # and the conditioning tests need these: an ill-conditioned tnar point
+    # (cond(E)^2 in [1e9, 1e16]), an stnar point with subnormal scores at
+    # g = 3.12875, and a four-term reference within 1e-10 of the exact lm.
     spec = na.ModelSpec.linear((1.5, 0.4, 0.5), "cont")
     mu, cov = na.stationary_init_linear_gaussian(spec.beta, small_net, 1.0)
     chol = np.linalg.cholesky(cov + 1e-12 * np.max(np.diag(cov)) * np.eye(small_net.n))

@@ -61,8 +61,7 @@ def test_warmup_steps_meet_the_tail_bound(b1, b2):
     # rho^(2K) / (1 - rho^2) per unit noise variance
     rho = abs(b1) + abs(b2)
     k = _warmup_steps(b1, b2)
-    tail = lambda k: rho ** (2 * k) / (1.0 - rho * rho)  # noqa: E731
-    assert tail(k) <= 1e-10 < tail(k - 1)
+    assert rho ** (2 * k) / (1 - rho * rho) <= 1e-10 < rho ** (2 * k - 2) / (1 - rho * rho)
 
 
 def test_warmup_steps_edge_cases():
