@@ -40,6 +40,7 @@ STRUCTURES = ("identity", "ar1", "exch")
 INIT_MODES = {"cont": ("default", "stationary", "linear-stationary", "zero"),
               "count": ("default", "zero")}
 _TAIL_TOL = 1e-10  # bound on the stationary series' omitted tail, relative to sigma^2
+_NOISE_ROWS = 1024  # time steps per noise draw; blocks consume the stream in order
 
 
 @dataclass(frozen=True)
@@ -207,10 +208,23 @@ def _resolve_init(init, n: int, domain: str):
     return arr
 
 
+def _gaussian_start(spec: ModelSpec, init) -> tuple:
+    """simulate_gaussian's start mode for a resolved init, and its warm-up steps."""
+    mode = init if isinstance(init, str) else "fixed"
+    if mode == "default":
+        mode = "stationary" if spec.family == "linear" else "mean"
+    if mode == "stationary" and spec.family != "linear":
+        raise ValueError(
+            "the exact stationary start exists for the linear family only; "
+            "use 'linear-stationary' or a fixed start plus burn-in")
+    _, b1, b2 = spec.beta
+    return mode, _warmup_steps(b1, b2) if mode in ("stationary", "linear-stationary") else 0
+
+
 def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
     """Continuous-panel recursion Y_t = cond_mean(Y_{t-1}) + sigma*xi_t.
 
-    Initialization modes (the noise of all steps is one matrix draw):
+    Initialization modes (the noise is drawn in blocks of _NOISE_ROWS steps):
       "stationary"        stationary Gaussian start, linear family only, no
                           burn-in: K unstored steps of the linear recursion
                           from mu0 = b0/(1-b1-b2) (see _warmup_steps).
@@ -228,17 +242,8 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
         raise ValueError("simulate_gaussian requires a continuous-domain spec")
     init = _resolve_init(cfg.init, net.n, "cont")
     gen = rng.stream(cfg.seed, 0x51)
-
-    mode = init if isinstance(init, str) else "fixed"
-    if mode == "default":
-        mode = "stationary" if spec.family == "linear" else "mean"
-    if mode == "stationary" and spec.family != "linear":
-        raise ValueError(
-            "the exact stationary start exists for the linear family only; "
-            "use 'linear-stationary' or a fixed start plus burn-in")
-
+    mode, warm = _gaussian_start(spec, init)
     b0, b1, b2 = spec.beta
-    warm = _warmup_steps(b1, b2) if mode in ("stationary", "linear-stationary") else 0
     if mode == "zero":
         y = np.zeros(net.n)
     elif mode == "fixed":
@@ -249,13 +254,15 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
     burn = 0 if mode == "stationary" else cfg.burn_in
 
     total = warm + burn + cfg.T
-    noise = rng.normal(gen, (total, net.n), sd=cfg.sigma) if cfg.sigma > 0 else None
     linear = ModelSpec.linear(spec.beta, "cont")
     out = np.empty((net.n, burn + cfg.T))
+    noise = None
     for t in range(total):
+        if cfg.sigma > 0 and t % _NOISE_ROWS == 0:
+            noise = rng.normal(gen, (min(_NOISE_ROWS, total - t), net.n), sd=cfg.sigma)
         lam = (mean_elementwise(linear, net.w @ y, y) if t < warm
                else cond_mean(spec, net, y))
-        y = lam if noise is None else lam + noise[t]
+        y = lam if noise is None else lam + noise[t % _NOISE_ROWS]
         if t >= warm:
             out[:, t - warm] = y
     return Panel(out[:, burn:])

@@ -214,14 +214,14 @@ def _check_prev(spec: ModelSpec, net: Network, y_prev: np.ndarray) -> np.ndarray
 def cond_mean(spec: ModelSpec, net: Network, y_prev: np.ndarray) -> np.ndarray:
     """One-step conditional mean given last period's observations."""
     y_prev = _check_prev(spec, net, y_prev)
-    x = net.neighbor_average(y_prev)
+    x = net.w @ y_prev
     return mean_elementwise(spec, x, y_prev)
 
 
 def cond_mean_grad(spec: ModelSpec, net: Network, y_prev: np.ndarray) -> np.ndarray:
     """N x n_active Jacobian of the conditional mean, linear block first."""
     y_prev = _check_prev(spec, net, y_prev)
-    x = net.neighbor_average(y_prev)
+    x = net.w @ y_prev
     return jac_elementwise(spec, x, y_prev).T
 
 

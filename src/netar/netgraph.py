@@ -52,10 +52,6 @@ class Network:
     def n_edges(self) -> int:
         return int(self.edges.shape[0])
 
-    def neighbor_average(self, y: np.ndarray) -> np.ndarray:
-        """W @ y, the lagged-neighbour regressor for each node."""
-        return self.w @ y
-
 
 def row_normalize(edges, n: int, *, self_loops: str = "error") -> Network:
     """Build a Network from a directed edge set.

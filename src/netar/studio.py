@@ -1,13 +1,13 @@
 """Monte Carlo harness, panel/network file IO and result reporting.
 
-A study is a list of scenarios; each scenario fixes a network (drawn once
-from its seed unless redraw_network is set), simulates S panels from its
-data-generating model, fits the linear null and applies the configured
-linearity test, then tabulates rejection rates per significance level
-with their binomial Monte Carlo standard errors.  Replication r of
-scenario s draws every random quantity from a stream keyed by
-(base_seed, s, r), so results are independent of execution order and of
-the worker-pool size.
+A study is a list of scenarios, each checked and resolved once when it is
+built.  A scenario fixes a network (drawn once from its seed unless
+redraw_network is set), simulates S panels from its data-generating
+model, fits the linear null and applies the configured linearity test,
+then tabulates rejection rates per significance level with their
+binomial Monte Carlo standard errors.  Replication r of scenario s draws
+every random quantity from a stream keyed by (base_seed, s, r), so
+results are independent of execution order and of the worker-pool size.
 """
 
 from __future__ import annotations
@@ -17,15 +17,16 @@ import json
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from . import __version__ as _version
 from . import rng
-from .dgp import (INIT_MODES, CopulaSpec, Panel, SimConfig, _resolve_init, simulate_count,
-                  simulate_gaussian)
+from .dgp import (CopulaSpec, Panel, SimConfig, _copula_chol, _gaussian_start, _resolve_init,
+                  simulate_count, simulate_gaussian)
 from .lintest import lm_test
 from .model import ModelSpec
 from .netgraph import Network, gen_er, gen_sbm
@@ -43,16 +44,22 @@ __all__ = [
 ]
 
 
-# accepted test settings (the default first); keys of the dict-valued fields
+# test settings with their defaults; accepted values; keys of the dict-valued fields
+_TEST_DEFAULTS = {"kind": "chi2", "alt": "stnar", "agg": "sup", "J": 499, "grid": "auto"}
 _TEST_VALUES = {"kind": ("chi2", "davies", "bootstrap"), "alt": ("stnar", "tnar"),
                 "agg": ("sup", "ave")}
 _NESTED_KEYS = {"network": {"model", "k", "p"}, "copula": {"structure", "rho"},
-                "test": {"grid", "J", *_TEST_VALUES}}
+                "test": set(_TEST_DEFAULTS)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """One Monte Carlo cell: network, DGP, test method and replication count."""
+    """One Monte Carlo cell: network, DGP, test method and replication count.
+
+    Building one checks every setting (a ValueError names the scenario) and
+    resolves what replications read: ``_spec``, ``_copula``, ``_sim`` (no
+    seed) and ``_test`` (every test setting; ``grid`` is None for "auto").
+    """
 
     name: str
     network: dict                  # {"model": "sbm"|"er", "k": int, "p": float|None}
@@ -71,34 +78,52 @@ class Scenario:
     levels: tuple = (0.10, 0.05, 0.01)
     redraw_network: bool = False
 
-    @staticmethod
-    def from_dict(d: dict) -> "Scenario":
-        known = {f for f in Scenario.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown scenario fields: {sorted(extra)}")
+    def __post_init__(self):
+        try:
+            self._resolve()
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"scenario {self.name!r}: {exc}") from None
+
+    def _resolve(self) -> None:
         for key, allowed in _NESTED_KEYS.items():
-            extra = set(d.get(key, {})) - allowed
+            extra = set(getattr(self, key)) - allowed
             if extra:
                 raise ValueError(f"unknown {key} fields: {sorted(extra)}")
-        test = d.get("test", {})
+        if self.network.get("model", "sbm") not in ("sbm", "er"):
+            raise ValueError(f"unknown network model {self.network['model']!r}")
+        test = {**_TEST_DEFAULTS, **self.test}
         for key, allowed in _TEST_VALUES.items():
-            if test.get(key, allowed[0]) not in allowed:
+            if test[key] not in allowed:
                 raise ValueError(f"test {key} must be one of {allowed}, got {test[key]!r}")
-        if test.get("kind") == "davies" and test.get("alt") == "tnar":
+        if test["kind"] == "davies" and test["alt"] == "tnar":
             raise ValueError("the Davies bound needs a smooth nuisance rate: "
                              "test the tnar alternative with kind 'bootstrap'")
-        if not isinstance(test.get("J", 499), int) or test.get("J", 499) < 1:
-            raise ValueError(f"test J must be a positive integer, got {test['J']!r}")
-        _fixed_grid(test.get("grid", "auto"))
-        if d.get("domain") in INIT_MODES:
-            _resolve_init(d.get("init", "default"), d.get("n"), d["domain"])
-        CopulaSpec(**d.get("copula", {}))
-        d = dict(d)
-        for key in ("theta", "theta2", "levels"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return Scenario(**d)
+        for key, value in (("n", self.n), ("reps", self.reps), ("test J", test["J"])):
+            if not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{key} must be a positive integer, got {value!r}")
+        if not self.levels or not all(0.0 < level < 1.0 for level in self.levels):
+            raise ValueError(f"levels must lie in (0, 1), got {self.levels!r}")
+        test["grid"] = _parse_grid(test["grid"])
+        spec = ModelSpec(self.dgp_family, self.domain, self.theta, self.theta2)
+        copula = CopulaSpec(self.copula.get("structure", "identity"),
+                            float(self.copula.get("rho", 0.0)))
+        if not copula.is_independent:
+            _copula_chol(copula.structure, copula.rho, self.n)  # cached for the draws
+        init = _resolve_init(self.init, self.n, self.domain)
+        if self.domain == "cont":
+            _gaussian_start(spec, init)  # rejects a start the model cannot take
+        sim = SimConfig(T=self.t, burn_in=self.burn_in, sigma=self.sigma, init=init)
+        for key, value in (("_spec", spec), ("_copula", copula), ("_sim", sim), ("_test", test)):
+            object.__setattr__(self, key, value)
+
+    @staticmethod
+    def from_dict(d: dict) -> "Scenario":
+        extra = set(d) - set(Scenario.__dataclass_fields__)
+        if extra:
+            raise ValueError(f"scenario {d.get('name')!r}: unknown scenario fields: "
+                             f"{sorted(extra)}")
+        return Scenario(**{key: tuple(value) if key in ("theta", "theta2", "levels") else value
+                           for key, value in d.items()})
 
 
 @dataclass
@@ -129,78 +154,52 @@ class StudyRow:
     elapsed: float
 
 
-def _dgp_spec(sc: Scenario) -> ModelSpec:
-    return ModelSpec(sc.dgp_family, sc.domain, sc.theta, sc.theta2)
-
-
 def _scenario_network(sc: Scenario, base_seed: int, s_idx: int, rep: int) -> Network:
-    tag = rep if sc.redraw_network else 0
-    seed = rng.mix_seed(base_seed, s_idx, 0xAE, tag)
-    model = sc.network.get("model", "sbm")
-    if model == "sbm":
+    seed = rng.mix_seed(base_seed, s_idx, 0xAE, rep if sc.redraw_network else 0)
+    if sc.network.get("model", "sbm") == "sbm":
         return gen_sbm(sc.n, int(sc.network.get("k", 2)), seed)
-    if model == "er":
-        return gen_er(sc.n, sc.network.get("p"), seed)
-    raise ValueError(f"unknown network model {model!r}")
+    return gen_er(sc.n, sc.network.get("p"), seed)
 
 
-def _simulate(sc: Scenario, spec: ModelSpec, net: Network, seed: int) -> Panel:
+def _simulate(sc: Scenario, net: Network, seed: int) -> Panel:
+    cfg = replace(sc._sim, seed=seed)
     if sc.domain == "count":
-        cop = CopulaSpec(sc.copula.get("structure", "identity"),
-                         float(sc.copula.get("rho", 0.0)))
-        cfg = SimConfig(T=sc.t, burn_in=sc.burn_in, seed=seed, init=sc.init)
-        return simulate_count(spec, net, cop, cfg)
-    cfg = SimConfig(T=sc.t, burn_in=sc.burn_in, seed=seed, sigma=sc.sigma,
-                    init=sc.init)
-    return simulate_gaussian(spec, net, cfg)
+        return simulate_count(sc._spec, net, sc._copula, cfg)
+    return simulate_gaussian(sc._spec, net, cfg)
 
 
-def _parse_grid(text: str) -> Optional[GammaGrid]:
-    """'auto' (None: the family's default grid) or 'lo:hi:n', n points from lo to hi."""
-    if text == "auto":
-        return None
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be 'auto' or 'lo:hi:n', got {text!r}")
-    lo, hi, num = parts
-    return GammaGrid(np.linspace(float(lo), float(hi), int(num)))
-
-
-def _fixed_grid(spec) -> Optional[GammaGrid]:
-    """A test's grid entry: None for 'auto', else the grid it fixes."""
-    if isinstance(spec, str):
-        return _parse_grid(spec)
+def _parse_grid(spec) -> Optional[GammaGrid]:
+    """'auto' (None: the family's default), 'lo:hi:n' (n points from lo to hi) or the points."""
     if isinstance(spec, (list, tuple)):
         return GammaGrid(np.asarray(spec, dtype=float))
-    raise ValueError(f"grid must be 'auto', 'lo:hi:n' or a list of points, got {spec!r}")
+    if spec == "auto":
+        return None
+    parts = spec.split(":") if isinstance(spec, str) else ()
+    if len(parts) != 3:
+        raise ValueError(f"grid must be 'auto', 'lo:hi:n' or a list of points, got {spec!r}")
+    lo, hi, num = parts
+    return GammaGrid(np.linspace(float(lo), float(hi), int(num)))
 
 
 def _run_replication(sc: Scenario, net: Network, base_seed: int, s_idx: int,
                      rep: int):
     """One simulate-fit-test pass; returns (p_value, statistic)."""
-    spec = _dgp_spec(sc)
-    panel = _simulate(sc, spec, net, rng.mix_seed(base_seed, s_idx, rep))
-    kind = sc.test.get("kind", "chi2")
-    if kind == "chi2":
-        alt = ModelSpec.drift(sc.theta, 0.0, sc.domain)
-        res = lm_test(panel, net, alt)
+    panel = _simulate(sc, net, rng.mix_seed(base_seed, s_idx, rep))
+    test = sc._test
+    if test["kind"] == "chi2":
+        res = lm_test(panel, net, ModelSpec.drift(sc.theta, 0.0, sc.domain))
         return res.p_value, res.statistic
-    family = sc.test.get("alt", "stnar")
-    grid = _fixed_grid(sc.test.get("grid", "auto"))
+    grid = test["grid"]
     if grid is None:
-        grid = default_grid(family, panel=panel, net=net)
-    if kind == "davies":
-        res = run_profile_test(panel, net, family, sc.domain, grid=grid,
+        grid = default_grid(test["alt"], panel=panel, net=net)
+    if test["kind"] == "davies":
+        res = run_profile_test(panel, net, test["alt"], sc.domain, grid=grid,
                                method="davies")
         return res.davies_p, res.g_sup
-    if kind == "bootstrap":
-        agg = sc.test.get("agg", "sup")
-        res = run_profile_test(
-            panel, net, family, sc.domain, grid=grid, method="bootstrap",
-            agg=agg, reps=int(sc.test.get("J", 499)),
-            seed=rng.mix_seed(base_seed, s_idx, rep, 0xB0))
-        return res.boot_p, aggregate(res.profile, agg)
-    raise ValueError(f"unknown test kind {kind!r}")
+    res = run_profile_test(
+        panel, net, test["alt"], sc.domain, grid=grid, method="bootstrap",
+        agg=test["agg"], reps=test["J"], seed=rng.mix_seed(base_seed, s_idx, rep, 0xB0))
+    return res.boot_p, aggregate(res.profile, test["agg"])
 
 
 def _worker(args):
@@ -220,11 +219,6 @@ def run_mc_study(cfg: StudyConfig, threads: int = 1):
     Failed replications are excluded and counted; a scenario aborts if
     more than 1 percent of its replications fail.
     """
-    for sc in cfg.scenarios:
-        try:
-            _dgp_spec(sc)
-        except ValueError as exc:
-            raise ValueError(f"scenario {sc.name!r}: {exc}") from None
     rows: list[StudyRow] = []
     raw: dict[str, np.ndarray] = {}
     for s_idx, sc in enumerate(cfg.scenarios):
@@ -241,7 +235,7 @@ def run_mc_study(cfg: StudyConfig, threads: int = 1):
         results = {rep: out for rep, out, err in outs if err is None}
         errors = [err for _, _, err in outs if err is not None]
 
-        if len(errors) > max(1, sc.reps) * 0.01:
+        if len(errors) > sc.reps * 0.01:
             raise RuntimeError(
                 f"scenario {sc.name!r}: {len(errors)}/{sc.reps} replications "
                 f"failed; first error: {errors[0]}")
@@ -251,8 +245,8 @@ def run_mc_study(cfg: StudyConfig, threads: int = 1):
         raw[sc.name] = stats
         elapsed = time.perf_counter() - start
         for level in sc.levels:
-            rate = float(np.mean(pvals <= level)) if used else float("nan")
-            se = float(np.sqrt(rate * (1.0 - rate) / len(used))) if used else float("nan")
+            rate = float(np.mean(pvals <= level))
+            se = float(np.sqrt(rate * (1.0 - rate) / len(used)))
             rows.append(StudyRow(sc.name, float(level), rate, se,
                                  len(used), len(errors), elapsed))
     return rows, raw

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -152,7 +154,7 @@ def test_nonfinite_sigma_rejected(small_net, sigma):
 
 # Y_1 and Y_2 of the seed-7 stationary-start panel, recorded when the start
 # became K warm-up steps of the linear recursion: a change to the stream of
-# stationary starts (the one (K + T) x N noise draw) shows here
+# stationary starts (the noise of the K + T steps) shows here
 _PINNED_STATIONARY_PANEL = np.array([
     [15.006130767491973, 14.80724870639037, 12.638605924150928, 15.432577735420214,
      15.656284666820696, 14.409845948952702, 14.361442576561114, 15.736816814771872,
@@ -176,6 +178,27 @@ def test_stationary_start_stream_is_pinned(small_net):
     spec = ModelSpec.linear((1.5, 0.4, 0.5), "cont")
     panel = simulate_gaussian(spec, small_net, SimConfig(T=200, seed=7, init="stationary"))
     np.testing.assert_allclose(panel.values[:, :2], _PINNED_STATIONARY_PANEL, rtol=1e-8)
+
+
+def test_near_unit_root_start_draws_noise_in_blocks():
+    # rho = 0.999 needs about 14 600 warm-up steps: one (K+T) x N noise
+    # matrix would hold 11.8 MB, a block of 1024 steps 0.8 MB
+    net = na.gen_sbm(100, 5, seed=3)
+    spec = ModelSpec.linear((1.0, 0.5, 0.499), "cont")
+    tracemalloc.start()
+    try:
+        panel = simulate_gaussian(spec, net, SimConfig(T=100, seed=7, init="stationary"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    # reference: the noise of all steps as one matrix draw
+    warm = _warmup_steps(0.5, 0.499)
+    noise = rng.normal(rng.stream(7, 0x51), (warm + 100, net.n))
+    y = np.full(net.n, 1.0 / (1.0 - 0.5 - 0.499))
+    for t in range(warm + 100):
+        y = na.cond_mean(spec, net, y) + noise[t]
+    assert np.array_equal(panel.values[:, -1], y)
 
 
 # gaussian simulation ------------------------------------------------------------

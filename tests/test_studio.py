@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,8 +54,16 @@ def test_rerun_is_byte_identical():
     assert np.array_equal(raw1["tiny"], raw2["tiny"])
 
 
-def test_parallel_execution_matches_serial():
-    cfg = _tiny_cfg(reps=8)
+@pytest.mark.parametrize("extra", [
+    {},
+    {"domain": "count", "copula": {"structure": "ar1", "rho": 0.5}, "burn_in": 100},
+    {"kind": "davies", "redraw_network": True},
+    {"kind": "bootstrap", "domain": "count",
+     "test": {"kind": "bootstrap", "alt": "tnar", "J": 29, "agg": "ave"}},
+], ids=["cont-chi2", "count-ar1-chi2", "redraw-davies", "tnar-bootstrap"])
+def test_parallel_execution_matches_serial(extra):
+    # the pool pickles the resolved scenario into its workers
+    cfg = _tiny_cfg(reps=8, **extra)
     rows1, raw1 = run_mc_study(cfg, threads=1)
     rows2, raw2 = run_mc_study(cfg, threads=2)
     assert [r.rejection_rate for r in rows1] == [r.rejection_rate for r in rows2]
@@ -77,19 +87,14 @@ def test_profile_scenarios_run_both_methods():
 
 
 def test_power_scenario_uses_nonlinear_dgp():
-    cfg = _tiny_cfg(reps=4)
-    sc = cfg.scenarios[0]
-    sc.dgp_family = "drift"
-    sc.theta2 = (1.0,)
-    sc.init = "linear-stationary"
-    sc.burn_in = 0
+    cfg = _tiny_cfg(reps=4, dgp_family="drift", theta2=(1.0,), init="linear-stationary",
+                    burn_in=0)
     rows, _ = run_mc_study(cfg)
     assert len(rows) == 3
 
 
 def test_mc_se_matches_bootstrap_estimate():
-    cfg = _tiny_cfg(reps=40)
-    cfg.scenarios[0].t = 40
+    cfg = _tiny_cfg(reps=40, t=40)
     rows, raw = run_mc_study(cfg)
     rs = np.random.default_rng(0)
     for row in rows:
@@ -101,8 +106,7 @@ def test_mc_se_matches_bootstrap_estimate():
 
 def test_redraw_network_switch_changes_rates():
     fixed = _tiny_cfg(reps=10)
-    redrawn = _tiny_cfg(reps=10)
-    redrawn.scenarios[0].redraw_network = True
+    redrawn = _tiny_cfg(reps=10, redraw_network=True)
     rows_f, raw_f = run_mc_study(fixed)
     rows_r, raw_r = run_mc_study(redrawn)
     # still deterministic under redraw
@@ -164,6 +168,41 @@ def test_bad_init_or_copula_rejected_before_simulation(extra, match, monkeypatch
         run_mc_study(_tiny_cfg(reps=2, **extra))
 
 
+@pytest.mark.parametrize("extra, match", [
+    ({"copula": {"structur": "ar1"}}, "unknown copula fields"),
+    ({"test": {"kind": "chi"}}, "test kind must be one of"),
+    ({"domain": "count", "copula": {"structure": "exch", "rho": -0.5}},
+     "exchangeable rho=-0.5 is not positive definite for n=20"),
+    ({"t": 0}, "T must be >= 1"),
+    ({"sigma": float("nan")}, "sigma must be finite"),
+    ({"burn_in": -1}, "burn_in must be >= 0"),
+    ({"reps": 0}, "reps must be a positive integer"),
+    ({"levels": (0.05, 1.5)}, r"levels must lie in \(0, 1\)"),
+    ({"n": 0}, "n must be a positive integer"),
+    ({"network": {"model": "ba"}}, "unknown network model"),
+    ({"theta": (1.0, 0.6, 0.5)}, "stationary initialization needs"),
+    ({"dgp_family": "drift", "theta2": (1.0,), "init": "stationary"},
+     "the exact stationary start exists for the linear family only"),
+])
+@pytest.mark.parametrize("build", ["from_dict", "direct"])
+def test_bad_setting_rejected_when_the_scenario_is_built(extra, match, build, monkeypatch):
+    def no_panels(*args):
+        raise AssertionError("a panel was simulated")
+    monkeypatch.setattr("netar.studio._simulate", no_panels)
+    d = {"name": "tiny", "network": {"model": "sbm", "k": 2}, "n": 20, "t": 60,
+         "domain": "cont", "theta": (1.0, 0.3, 0.2), "reps": 2, **extra}
+    with pytest.raises(ValueError, match=f"scenario 'tiny': {match}"):
+        sc = Scenario.from_dict(d) if build == "from_dict" else Scenario(**d)
+        run_mc_study(StudyConfig([sc]))
+
+
+def test_readme_study_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    sc = Scenario.from_dict(json.loads(example))
+    assert sc.name == "count-size" and sc._copula.structure == "ar1"
+
+
 @pytest.mark.parametrize("agg", ["sup", "ave"])
 def test_bootstrap_raw_statistic_is_the_tested_aggregate(agg, monkeypatch):
     results = []
@@ -188,14 +227,12 @@ def test_grid_string_gives_equidistant_points():
 
 
 def test_wrong_theta2_length_fails_the_study():
-    cfg = _tiny_cfg(reps=2, dgp_family="drift", theta2=(1.0, 5.0))
     with pytest.raises(ValueError, match="'tiny': drift expects 1"):
-        run_mc_study(cfg)
+        _tiny_cfg(reps=2, dgp_family="drift", theta2=(1.0, 5.0))
 
 
 def test_failing_scenario_aborts():
-    cfg = _tiny_cfg(reps=3)
-    cfg.scenarios[0].t = 1  # too short to fit
+    cfg = _tiny_cfg(reps=3, t=1)  # too short to fit
     with pytest.raises(RuntimeError, match="replications"):
         run_mc_study(cfg)
 
