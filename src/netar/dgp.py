@@ -8,14 +8,15 @@ Count panels are generated through a Gaussian-copula waiting-time
 construction: unit-exponential inter-arrival times are built from copula
 uniforms and each Y_i counts the arrivals falling in [0, lam_i], which
 makes every marginal exactly Poisson(lam_i) while the copula induces
-cross-sectional dependence.
+cross-sectional dependence.  The copula's Cholesky factor is applied to
+each event row in O(N) from its closed form (see _apply_copula_factor);
+no N x N matrix is formed and nothing is cached.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -62,27 +63,34 @@ class CopulaSpec:
         # the uniform stream byte-identical to an identity draw
         return self.structure == "identity" or self.rho == 0.0
 
-    def correlation(self, n: int) -> np.ndarray:
-        if self.is_independent:
-            return np.eye(n)
-        if self.structure == "ar1":
-            idx = np.arange(n)
-            return self.rho ** np.abs(idx[:, None] - idx[None, :])
-        if self.rho < -1.0 / (n - 1):
+    def check_dimension(self, n: int) -> None:
+        """Reject an exchangeable rho whose n x n correlation is not positive definite."""
+        if self.structure == "exch" and 1.0 + (n - 1) * self.rho <= 0.0:
             raise ValueError(
                 f"exchangeable rho={self.rho} is not positive definite for n={n}")
-        r = np.full((n, n), self.rho)
-        np.fill_diagonal(r, 1.0)
-        return r
 
 
-@lru_cache(maxsize=32)
-def _copula_chol(structure: str, rho: float, n: int) -> np.ndarray:
-    r = CopulaSpec(structure, rho).correlation(n)
-    try:
-        return np.linalg.cholesky(r)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("copula correlation matrix is not positive definite") from exc
+def _apply_copula_factor(cop: CopulaSpec, e: np.ndarray) -> np.ndarray:
+    """L e along the last axis in O(N), for L the Cholesky factor of the copula's R.
+
+    exch: the Schur complements keep diagonal minus off-diagonal at 1 - rho, so
+    L[j, j] = d_j and L[i, j] = c_j (i > j) with b_j = rho(1-rho)/(1+(j-1)rho),
+    d_j = sqrt(1-rho+b_j), c_j = b_j/d_j.  ar1: z_0 = e_0, z_i = rho z_{i-1} +
+    sqrt(1-rho^2) e_i, summed as rho^i cumsum(rho^-j x_j) in blocks with |rho|^-j <= 2^500.
+    """
+    n, rho = e.shape[-1], cop.rho
+    if cop.structure == "exch":
+        b = rho * (1.0 - rho) / (1.0 + (np.arange(n) - 1) * rho)
+        d = np.sqrt(1.0 - rho + b)
+        c = b / d
+        return (d - c) * e + np.cumsum(c * e, axis=-1)
+    x = e * np.sqrt(1.0 - rho * rho * (np.arange(n) > 0))  # x_0 = e_0
+    block = 1 + int(500 * np.log(2.0) / -np.log(abs(rho)))
+    for start in range(0, n, block):
+        seg, j = slice(start, start + block), np.arange(min(block, n - start))
+        carry = rho * x[..., start - 1:start] if start else 0.0  # rho z_{start-1}
+        x[..., seg] = rho ** j * (np.cumsum(rho ** -j * x[..., seg], axis=-1) + carry)
+    return x
 
 
 @dataclass
@@ -271,13 +279,12 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
 def draw_copula_uniform(cop: CopulaSpec, n: int, gen: np.random.Generator,
                         rows: Optional[int] = None) -> np.ndarray:
     """Copula draws on (0,1)^n; a matrix of ``rows`` draws when requested."""
+    cop.check_dimension(n)
     shape = (rows, n) if rows is not None else n
     u = rng.uniform_open(gen, shape)
     if cop.is_independent:
         return u
-    chol = _copula_chol(cop.structure, cop.rho, n)
-    z = rng.ndtri(u)
-    return rng.ndtr(z @ chol.T)
+    return rng.ndtr(_apply_copula_factor(cop, rng.ndtri(u)))
 
 
 def _event_cap(lam_max: float) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__ as _version
 from . import rng
-from .dgp import (CopulaSpec, Panel, SimConfig, _copula_chol, _gaussian_start, _resolve_init,
+from .dgp import (CopulaSpec, Panel, SimConfig, _gaussian_start, _resolve_init,
                   simulate_count, simulate_gaussian)
 from .lintest import lm_test
 from .model import ModelSpec
@@ -57,8 +57,9 @@ class Scenario:
     """One Monte Carlo cell: network, DGP, test method and replication count.
 
     Building one checks every setting (a ValueError names the scenario) and
-    resolves what replications read: ``_spec``, ``_copula``, ``_sim`` (no
-    seed) and ``_test`` (every test setting; ``grid`` is None for "auto").
+    resolves what replications read: ``_network`` (every network setting),
+    ``_spec``, ``_copula``, ``_sim`` (no seed) and ``_test`` (every test
+    setting; ``grid`` is None for "auto").
     """
 
     name: str
@@ -89,8 +90,9 @@ class Scenario:
             extra = set(getattr(self, key)) - allowed
             if extra:
                 raise ValueError(f"unknown {key} fields: {sorted(extra)}")
-        if self.network.get("model", "sbm") not in ("sbm", "er"):
-            raise ValueError(f"unknown network model {self.network['model']!r}")
+        network = {"model": "sbm", "k": 2, "p": None, **self.network}
+        if network["model"] not in ("sbm", "er"):
+            raise ValueError(f"unknown network model {network['model']!r}")
         test = {**_TEST_DEFAULTS, **self.test}
         for key, allowed in _TEST_VALUES.items():
             if test[key] not in allowed:
@@ -101,19 +103,24 @@ class Scenario:
         for key, value in (("n", self.n), ("reps", self.reps), ("test J", test["J"])):
             if not isinstance(value, Integral) or value < 1:
                 raise ValueError(f"{key} must be a positive integer, got {value!r}")
+        k, p = network["k"], network["p"]
+        if network["model"] == "sbm" and not (isinstance(k, Integral) and 1 <= k <= self.n):
+            raise ValueError(f"network k must be an integer in [1, n={self.n}], got {k!r}")
+        if network["model"] == "er" and p is not None and not 0.0 <= p <= 1.0:
+            raise ValueError(f"network p must be None or lie in [0, 1], got {p!r}")
         if not self.levels or not all(0.0 < level < 1.0 for level in self.levels):
             raise ValueError(f"levels must lie in (0, 1), got {self.levels!r}")
         test["grid"] = _parse_grid(test["grid"])
         spec = ModelSpec(self.dgp_family, self.domain, self.theta, self.theta2)
         copula = CopulaSpec(self.copula.get("structure", "identity"),
                             float(self.copula.get("rho", 0.0)))
-        if not copula.is_independent:
-            _copula_chol(copula.structure, copula.rho, self.n)  # cached for the draws
+        copula.check_dimension(self.n)
         init = _resolve_init(self.init, self.n, self.domain)
         if self.domain == "cont":
             _gaussian_start(spec, init)  # rejects a start the model cannot take
         sim = SimConfig(T=self.t, burn_in=self.burn_in, sigma=self.sigma, init=init)
-        for key, value in (("_spec", spec), ("_copula", copula), ("_sim", sim), ("_test", test)):
+        for key, value in (("_network", network), ("_spec", spec), ("_copula", copula),
+                           ("_sim", sim), ("_test", test)):
             object.__setattr__(self, key, value)
 
     @staticmethod
@@ -130,6 +137,13 @@ class Scenario:
 class StudyConfig:
     scenarios: list
     base_seed: int = 0
+
+    def __post_init__(self):
+        seen = set()
+        for sc in self.scenarios:  # raw draws are keyed by scenario name
+            if sc.name in seen:
+                raise ValueError(f"duplicate scenario name {sc.name!r}")
+            seen.add(sc.name)
 
     @staticmethod
     def from_dict(d: dict) -> "StudyConfig":
@@ -156,9 +170,9 @@ class StudyRow:
 
 def _scenario_network(sc: Scenario, base_seed: int, s_idx: int, rep: int) -> Network:
     seed = rng.mix_seed(base_seed, s_idx, 0xAE, rep if sc.redraw_network else 0)
-    if sc.network.get("model", "sbm") == "sbm":
-        return gen_sbm(sc.n, int(sc.network.get("k", 2)), seed)
-    return gen_er(sc.n, sc.network.get("p"), seed)
+    if sc._network["model"] == "sbm":
+        return gen_sbm(sc.n, sc._network["k"], seed)
+    return gen_er(sc.n, sc._network["p"], seed)
 
 
 def _simulate(sc: Scenario, net: Network, seed: int) -> Panel:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,9 +8,9 @@ from scipy import linalg, stats
 
 import netar as na
 from netar import rng
-from netar.dgp import (CopulaSpec, SimConfig, _warmup_steps, copula_poisson_draw,
-                       draw_copula_uniform, simulate_count, simulate_gaussian,
-                       stationary_init_linear_gaussian)
+from netar.dgp import (CopulaSpec, SimConfig, _apply_copula_factor, _warmup_steps,
+                       copula_poisson_draw, draw_copula_uniform, simulate_count,
+                       simulate_gaussian, stationary_init_linear_gaussian)
 from netar.model import ModelSpec
 from netar.netgraph import Network
 
@@ -283,9 +284,56 @@ def test_zero_rho_equals_identity_stream():
 
 
 def test_exchangeable_requires_positive_definite_rho():
-    cop = CopulaSpec("exch", -0.5)
-    with pytest.raises(ValueError):
-        draw_copula_uniform(cop, 4, rng.stream(1), rows=2)
+    # rho = -1/(n-1) makes R singular; at n = 1 every rho in (-1, 1) is valid
+    for rho in (-0.5, -1.0 / 3.0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"exchangeable rho={rho} is not positive definite for n=4")):
+            draw_copula_uniform(CopulaSpec("exch", rho), 4, rng.stream(1), rows=2)
+    u = draw_copula_uniform(CopulaSpec("exch", -0.5), 1, rng.stream(1), rows=2)
+    assert u.shape == (2, 1) and np.all((u > 0) & (u < 1))
+
+
+def _dense_copula_factor(structure, rho, n):
+    idx = np.arange(n)
+    lag = np.abs(idx[:, None] - idx[None, :])
+    r = rho ** lag if structure == "ar1" else np.where(lag == 0, 1.0, rho)
+    return np.linalg.cholesky(r)
+
+
+def _copula_cases():
+    for n in (1, 2, 3, 200, 2000):
+        for rho in (0.5, -0.3, 0.95, -0.95):
+            yield n, "ar1", rho
+        for rho in (0.3, 0.9) + ((-0.8 / (n - 1),) if n > 1 else ()):
+            yield n, "exch", rho
+
+
+@pytest.mark.parametrize("n, structure, rho", list(_copula_cases()))
+def test_copula_factor_matches_the_dense_cholesky_factor(n, structure, rho):
+    cop = CopulaSpec(structure, rho)
+    chol = _dense_copula_factor(structure, rho, n)
+    for rows in (None, 16):
+        shape = n if rows is None else (rows, n)
+        e = rng.ndtri(rng.uniform_open(rng.stream(12, n), shape))
+        assert np.max(np.abs(_apply_copula_factor(cop, e) - e @ chol.T)) <= 1e-13
+        u = draw_copula_uniform(cop, n, rng.stream(12, n), rows=rows)
+        assert u.shape == e.shape
+        assert np.max(np.abs(u - rng.ndtr(e @ chol.T))) <= 1e-13
+
+
+def test_ar1_copula_factor_near_unit_rho_matches_long_double_recurrence():
+    # at rho = 0.999 the dense factor itself is about 1.5e-12 off, so the
+    # reference is the recurrence z_i = rho z_{i-1} + sqrt(1-rho^2) e_i
+    rho, n = 0.999, 2000
+    e = rng.ndtri(rng.uniform_open(rng.stream(13), (4, n)))
+    r = np.longdouble(rho)
+    s = np.sqrt(1 - r * r)
+    ref = np.empty(e.shape, dtype=np.longdouble)
+    ref[:, 0] = e[:, 0]
+    for i in range(1, n):
+        ref[:, i] = r * ref[:, i - 1] + s * e[:, i]
+    z = _apply_copula_factor(CopulaSpec("ar1", rho), e)
+    assert np.max(np.abs(z - ref)) <= 1e-13
 
 
 # copula-Poisson draws -----------------------------------------------------------
@@ -366,6 +414,18 @@ def test_count_simulation_deterministic(small_net):
     b = simulate_count(spec, small_net, cop, SimConfig(T=60, seed=6))
     assert np.array_equal(a.values, b.values)
     assert a.is_count()
+
+
+@pytest.mark.parametrize("structure, rho", [("ar1", 0.5), ("ar1", -0.95),
+                                            ("exch", 0.3), ("exch", -0.03)])
+def test_count_panel_equals_the_dense_factor_panel(small_net, structure, rho, monkeypatch):
+    spec = ModelSpec.linear((2.0, 0.3, 0.2), "count")
+    cop = CopulaSpec(structure, rho)
+    cfg = SimConfig(T=60, burn_in=60, seed=14)
+    panel = simulate_count(spec, small_net, cop, cfg).values
+    chol = _dense_copula_factor(structure, rho, small_net.n)
+    monkeypatch.setattr("netar.dgp._apply_copula_factor", lambda cop, e: e @ chol.T)
+    assert np.array_equal(simulate_count(spec, small_net, cop, cfg).values, panel)
 
 
 def test_count_long_run_mean(small_net):

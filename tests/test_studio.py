@@ -183,6 +183,13 @@ def test_bad_init_or_copula_rejected_before_simulation(extra, match, monkeypatch
     ({"theta": (1.0, 0.6, 0.5)}, "stationary initialization needs"),
     ({"dgp_family": "drift", "theta2": (1.0,), "init": "stationary"},
      "the exact stationary start exists for the linear family only"),
+    ({"domain": "count", "copula": {"structure": "exch", "rho": -1.0 / 19.0}},
+     f"exchangeable rho={-1.0 / 19.0} is not positive definite for n=20"),
+    ({"network": {"model": "sbm", "k": 50}},
+     r"network k must be an integer in \[1, n=20\], got 50"),
+    ({"network": {"model": "sbm", "k": 1.5}}, r"network k must be an integer in \[1, n=20\]"),
+    ({"network": {"model": "er", "p": 1.5}},
+     r"network p must be None or lie in \[0, 1\], got 1.5"),
 ])
 @pytest.mark.parametrize("build", ["from_dict", "direct"])
 def test_bad_setting_rejected_when_the_scenario_is_built(extra, match, build, monkeypatch):
@@ -194,6 +201,18 @@ def test_bad_setting_rejected_when_the_scenario_is_built(extra, match, build, mo
     with pytest.raises(ValueError, match=f"scenario 'tiny': {match}"):
         sc = Scenario.from_dict(d) if build == "from_dict" else Scenario(**d)
         run_mc_study(StudyConfig([sc]))
+
+
+def test_one_node_exchangeable_scenario_builds():
+    sc = Scenario(name="one", network={"model": "sbm", "k": 1}, n=1, t=5, domain="count",
+                  copula={"structure": "exch", "rho": -0.5})
+    assert sc._copula.rho == -0.5
+
+
+def test_duplicate_scenario_names_rejected():
+    sc = _tiny_cfg().scenarios[0]
+    with pytest.raises(ValueError, match="duplicate scenario name 'tiny'"):
+        StudyConfig([sc, sc])
 
 
 def test_readme_study_config_parses():
