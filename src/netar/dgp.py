@@ -203,17 +203,21 @@ def stationary_init_linear_gaussian(beta, net: Network, sigma: float):
 
 
 def _resolve_init(init, n: int, domain: str):
+    """A named start of the domain, or a fixed start as a finite length-n vector."""
     if isinstance(init, str):
         if init not in INIT_MODES[domain]:
             raise ValueError(f"{domain} init must be one of {INIT_MODES[domain]}, a scalar "
                              f"or a length-{n} vector, got {init!r}")
         return init
     arr = np.asarray(init, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
+    start = np.full(n, float(arr)) if arr.ndim == 0 else arr
+    if start.shape != (n,):
         raise ValueError(f"init vector must have length {n}")
-    return arr
+    bad = np.flatnonzero(~np.isfinite(start))
+    if bad.size:
+        where = "scalar" if arr.ndim == 0 else f"vector at node {bad[0]}"
+        raise ValueError(f"init {where} is not finite: {start[bad[0]]}")
+    return start
 
 
 def _gaussian_start(spec: ModelSpec, init) -> tuple:
@@ -230,7 +234,10 @@ def _gaussian_start(spec: ModelSpec, init) -> tuple:
 
 
 def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
-    """Continuous-panel recursion Y_t = cond_mean(Y_{t-1}) + sigma*xi_t.
+    """Continuous-panel recursion Y_t = lam(W Y_{t-1}, Y_{t-1}) + sigma*xi_t.
+
+    lam is the mean of the embedded linear model during the warm-up steps
+    and spec's mean after them.
 
     Initialization modes (the noise is drawn in blocks of _NOISE_ROWS steps):
       "stationary"        stationary Gaussian start, linear family only, no
@@ -255,7 +262,7 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
     if mode == "zero":
         y = np.zeros(net.n)
     elif mode == "fixed":
-        y = init.copy()
+        y = init
     else:
         denom = 1.0 - b1 - b2
         y = np.full(net.n, b0 / denom if denom > 0 else 0.0)
@@ -268,8 +275,7 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
     for t in range(total):
         if cfg.sigma > 0 and t % _NOISE_ROWS == 0:
             noise = rng.normal(gen, (min(_NOISE_ROWS, total - t), net.n), sd=cfg.sigma)
-        lam = (mean_elementwise(linear, net.w @ y, y) if t < warm
-               else cond_mean(spec, net, y))
+        lam = mean_elementwise(linear if t < warm else spec, net.w @ y, y)
         y = lam if noise is None else lam + noise[t % _NOISE_ROWS]
         if t >= warm:
             out[:, t - warm] = y

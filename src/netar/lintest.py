@@ -23,7 +23,6 @@ inverted; _whiten and _null_design also serve the profile tests of nuisance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import gammaincc
@@ -70,14 +69,12 @@ def sigma_correction(hess: np.ndarray, opg: np.ndarray, m1: int) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def _null_design(panel: Panel, net: Network, domain: str,
-                 null_fit: Optional[FitResult]):
-    """The converged linear null fit (QMLE for counts, least squares for
-    continuous data, fitted here unless given), the lagged design
+def _null_design(panel: Panel, net: Network, domain: str):
+    """The linear null fitted to the panel (QMLE from (1, 0.2, 0.2) for
+    counts, least squares for continuous data), the lagged design
     (y_now, y_lag, x_lag) and the null mean lam at the fit."""
-    if null_fit is None:
-        null_fit = (qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2), "count"))
-                    if domain == "count" else ols_fit_linear(panel, net))
+    null_fit = (qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2), "count"))
+                if domain == "count" else ols_fit_linear(panel, net))
     if not null_fit.converged:
         raise RuntimeError("null fit did not converge")
     y_now, y_lag, x_lag = lagged_design(panel, net)
@@ -105,7 +102,6 @@ class ScoreTestResult:
     df: int
     p_value: float
     method: str
-    partial_score: np.ndarray
     sigma_used: np.ndarray
     null_fit: FitResult
 
@@ -119,19 +115,20 @@ class ScoreTestResult:
         }
 
 
-def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec,
-            null_fit: Optional[FitResult] = None) -> ScoreTestResult:
+def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec) -> ScoreTestResult:
     """Linearity test against the intercept-drift alternative.
 
-    The constrained fit is the linear model; the extra Jacobian column at
-    the null is -b0*log(1 + X) (counts) or -b0*log(1 + |X|) (continuous).
+    The constrained fit is the linear model fitted to the panel (see
+    _null_design); only alt_spec's family and domain are read.  The extra
+    Jacobian column at the null is -b0*log(1 + X) (counts) or
+    -b0*log(1 + |X|) (continuous).
     The linear block is projected out of the per-time scores through the
     curvature (counts) or the score outer product (least squares).
     """
     if alt_spec.family != "drift":
         raise ValueError("the identifiable-parameter test is against the drift family")
     domain = alt_spec.domain
-    null_fit, (y_now, y_lag, x_lag), lam = _null_design(panel, net, domain, null_fit)
+    null_fit, (y_now, y_lag, x_lag), lam = _null_design(panel, net, domain)
     beta = null_fit.theta_hat
     # alternative evaluated at the constrained point (beta_hat, g = 0)
     s_t, hess = _quasi_parts(ModelSpec.drift(beta, 0.0, domain), y_now, y_lag, x_lag, lam)
@@ -145,4 +142,4 @@ def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec,
     stat, df = float(np.sum(np.square(vt @ partial / s))), 1
     return ScoreTestResult(
         statistic=stat, df=df, p_value=chi2_sf(stat, df), method="chi2",
-        partial_score=partial, sigma_used=effective.T @ effective, null_fit=null_fit)
+        sigma_used=effective.T @ effective, null_fit=null_fit)

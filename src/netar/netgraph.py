@@ -53,14 +53,15 @@ class Network:
         return int(self.edges.shape[0])
 
 
-def row_normalize(edges, n: int, *, self_loops: str = "error") -> Network:
+def row_normalize(edges, n: int) -> Network:
     """Build a Network from a directed edge set.
 
     Args:
         edges: iterable of (i, j) pairs, 0-based.
         n: node count; all indices must lie in [0, n).
-        self_loops: "error" rejects (i, i) pairs, "drop" removes them with
-            a warning.
+
+    Self-loops (i, i) are rejected; duplicate edges are dropped with a
+    warning.
     """
     if n <= 0:
         raise ValueError(f"node count must be positive, got {n}")
@@ -69,13 +70,8 @@ def row_normalize(edges, n: int, *, self_loops: str = "error") -> Network:
     if e.size and (e.min() < 0 or e.max() >= n):
         raise ValueError(f"edge index out of range [0, {n})")
 
-    loops = e[:, 0] == e[:, 1]
-    if loops.any():
-        if self_loops == "drop":
-            warnings.warn(f"dropped {int(loops.sum())} self-loop(s)")
-            e = e[~loops]
-        else:
-            raise ValueError("self-loops are not allowed")
+    if np.any(e[:, 0] == e[:, 1]):
+        raise ValueError("self-loops are not allowed")
 
     if e.shape[0]:
         unique = np.unique(e, axis=0)

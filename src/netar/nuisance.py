@@ -58,7 +58,6 @@ class GammaGrid:
     """Strictly increasing evaluation points for the nuisance rate."""
 
     values: np.ndarray
-    source: str = "explicit"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -73,23 +72,21 @@ class GammaGrid:
 
 
 def default_grid(family: str, panel: Optional[Panel] = None,
-                 net: Optional[Network] = None, lo: Optional[float] = None,
-                 hi: Optional[float] = None, num: int = 10) -> GammaGrid:
-    """Family-specific default grid.
+                 net: Optional[Network] = None) -> GammaGrid:
+    """Family-specific default grid of 10 points; pass others as a GammaGrid.
 
-    stnar: equidistant points on [0.05, 2] (overridable bounds).
-    tnar: per-node 10 and 90 percent quantiles of the neighbour averages;
-    the extremes are the minimum of the former and maximum of the latter,
-    trimmed to the open range of the observed X so the indicator never
-    degenerates.  A tnar point within 1e-12*max(1, |g|) of an observed X
-    moves up to the midpoint with the next larger observed X: on count
-    panels X takes values k/out-degree, and whether 1{X <= g} holds for a
-    cell tied with g would depend on how the neighbour average rounded,
-    which changes with the node labelling.
+    stnar: equidistant points on [0.05, 2].
+    tnar: equidistant points from the minimum of the per-node 10 percent
+    quantiles of the neighbour averages to the maximum of the 90 percent
+    ones, trimmed to the open range of the observed X so the indicator
+    never degenerates.  A tnar point within 1e-12*max(1, |g|) of an
+    observed X moves up to the midpoint with the next larger observed X:
+    on count panels X takes values k/out-degree, and whether 1{X <= g}
+    holds for a cell tied with g would depend on how the neighbour average
+    rounded, which changes with the node labelling.
     """
     if family == "stnar":
-        return GammaGrid(np.linspace(0.05 if lo is None else lo, 2.0 if hi is None else hi,
-                                     num), source="stnar-default")
+        return GammaGrid(np.linspace(0.05, 2.0, 10))
     if family != "tnar":
         raise ValueError("default grids exist for stnar and tnar only")
     if panel is None or net is None:
@@ -99,9 +96,7 @@ def default_grid(family: str, panel: Optional[Panel] = None,
     xs = np.sort(x_lag, axis=None)
     if xs[-1] - xs[0] <= 1e-12 * max(1.0, -xs[0], xs[-1]):
         raise ValueError("neighbour averages are constant; no usable threshold range")
-    lo = float(q10.min()) if lo is None else lo
-    hi = float(q90.max()) if hi is None else hi
-    pts = np.linspace(lo, hi, num)
+    pts = np.linspace(float(q10.min()), float(q90.max()), 10)
     tol = 1e-12 * np.maximum(1.0, np.abs(pts))
     tied_from = np.searchsorted(xs, pts - tol)
     above = np.searchsorted(xs, pts + tol, side="right")    # first X past the tie band
@@ -113,7 +108,7 @@ def default_grid(family: str, panel: Optional[Panel] = None,
     if inside.sum() < pts.size:
         warnings.warn(f"dropped {pts.size - inside.sum()} threshold grid point(s) "
                       "outside the observed X range")
-    return GammaGrid(kept, source="tnar-quantile")
+    return GammaGrid(kept)
 
 
 @dataclass
@@ -135,7 +130,6 @@ class LMProfile:
     k2: int
     whitened: np.ndarray
     family: str
-    domain: str
     null_fit: FitResult
     dropped: list = field(default_factory=list)
 
@@ -183,11 +177,11 @@ def _tnar_blocks(grid, x, y, resid, curf):
 
 
 def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
-               domain: str, null_fit: Optional[FitResult] = None) -> LMProfile:
+               domain: str) -> LMProfile:
     """Quasi-score statistic at each grid point of the nuisance rate.
 
-    The null linear fit and the linear block are shared across grid
-    points.  Count panels use quasi-Poisson score weights (Y/lam - 1) and
+    The linear null is fitted to the panel (see lintest._null_design); it
+    and the linear block are shared across grid points.  Count panels use quasi-Poisson score weights (Y/lam - 1) and
     Y/lam^2 curvature weights; continuous panels use raw residuals and
     unweighted curvature.  Each point's statistic is ||U'1||^2 from the SVD
     of its effective scores E = U S V', whose outer product is the score
@@ -198,7 +192,7 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     if family not in ("stnar", "tnar"):
         raise ValueError("profiled testing applies to the stnar and tnar families")
     k2 = _N_ACTIVE[family] - 3
-    null_fit, (y_now, y_lag, x_lag), lam = _null_design(panel, net, domain, null_fit)
+    null_fit, (y_now, y_lag, x_lag), lam = _null_design(panel, net, domain)
     resid, curf = _weights(domain, y_now, lam)
 
     s1, h11, ok, s2, h12 = (_tnar_blocks if family == "tnar" else _stnar_blocks)(
@@ -220,7 +214,7 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     u = u[rank >= k2]
     return LMProfile(
         grid=grid.values[why == ""], lm=_whitened_stat(u, np.ones((u.shape[1], 1)))[:, 0],
-        k2=k2, whitened=u, family=family, domain=domain, null_fit=null_fit, dropped=dropped)
+        k2=k2, whitened=u, family=family, null_fit=null_fit, dropped=dropped)
 
 
 def aggregate(profile: LMProfile, g: str = "sup") -> float:
@@ -305,12 +299,12 @@ class ProfileTestResult:
 
 def run_profile_test(panel: Panel, net: Network, family: str, domain: str,
                      grid: Optional[GammaGrid] = None, method: str = "both",
-                     agg: str = "sup", reps: int = 499, seed: int = 0,
-                     null_fit: Optional[FitResult] = None) -> ProfileTestResult:
-    """Profile the statistic and attach Davies and/or bootstrap p-values."""
+                     agg: str = "sup", reps: int = 499, seed: int = 0) -> ProfileTestResult:
+    """Profile the statistic (default_grid unless a grid is given) and attach
+    Davies and/or bootstrap p-values."""
     if grid is None:
         grid = default_grid(family, panel=panel, net=net)
-    profile = lm_profile(panel, net, family, grid, domain, null_fit=null_fit)
+    profile = lm_profile(panel, net, family, grid, domain)
 
     davies = boot = None
     if method == "davies" or (method == "both" and profile.family == "stnar"):

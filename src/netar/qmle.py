@@ -43,6 +43,9 @@ __all__ = [
 
 _LOWER = 1e-8          # box lower bound for count-domain coordinates
 _LAM_FLOOR = 1e-12     # intensities below this signal an inadmissible theta
+_MAX_ITER = 200        # Newton iterations of qmle_fit
+_SCORE_TOL = 1e-6      # converged when max|score| < _SCORE_TOL * (number of cells)
+_STEP_TOL = 1e-9       # ... or when a step moves every coordinate less than this
 
 
 @dataclass
@@ -247,18 +250,16 @@ def _default_start(panel: Panel, spec: ModelSpec) -> np.ndarray:
     return theta
 
 
-def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None,
-             max_iter: int = 200, score_tol: float = 1e-6,
-             step_tol: float = 1e-9) -> FitResult:
+def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitResult:
     """Newton iterations with step halving for the working Poisson likelihood.
 
-    Count-domain coordinates are projected onto [1e-8, inf); convergence is
-    declared when max|score| < score_tol * (number of cells) or the step
-    collapses below step_tol.
+    Count-domain coordinates are projected onto [_LOWER, inf); convergence
+    is declared when max|score| < _SCORE_TOL * (number of cells) or the
+    step collapses below _STEP_TOL, within _MAX_ITER iterations.
     """
     if spec.domain != "count":
         raise ValueError("qmle_fit expects a count-domain spec")
-    if np.any(panel.values < 0) or not panel.is_count():
+    if not panel.is_count():
         raise ValueError("qmle_fit expects a nonnegative integer panel")
     y_now, y_lag, x_lag = lagged_design(panel, net)
     n_obs = y_now.size
@@ -287,10 +288,10 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None,
     converged = False
     iters = 0
     parts_theta = None     # the iterate s_t, hess and score belong to
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, _MAX_ITER + 1):
         parts_theta = theta
         s_t, hess, score = parts_at(theta, lam)
-        if np.max(np.abs(score)) < score_tol * n_obs:
+        if np.max(np.abs(score)) < _SCORE_TOL * n_obs:
             converged = True
             break
         step, jitter = _ridge_solve(hess, score)
@@ -309,13 +310,13 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None,
             break
         moved = np.max(np.abs(cand - theta))
         theta, ll, lam = cand, ll_new, lam_new
-        if moved < step_tol:
+        if moved < _STEP_TOL:
             converged = True
             break
 
     if parts_theta is not theta:
         s_t, hess, score = parts_at(theta, lam)
-    if not converged and np.max(np.abs(score)) < score_tol * n_obs:
+    if not converged and np.max(np.abs(score)) < _SCORE_TOL * n_obs:
         converged = True
     opg = s_t.T @ s_t
     cov, se, jitter = sandwich_cov(hess, opg)

@@ -285,8 +285,9 @@ def load_panel_csv(path, domain: str = "cont") -> Panel:
     return panel
 
 
-def save_panel_csv(panel: Panel, path, counts: Optional[bool] = None) -> None:
-    counts = panel.is_count() if counts is None else counts
+def save_panel_csv(panel: Panel, path) -> None:
+    """Write a panel CSV; a count panel (see Panel.is_count) as integers."""
+    counts = panel.is_count()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(panel.labels())

@@ -148,7 +148,7 @@ def test_criterion_08_oracle_suite():
         lm = rs3.uniform(0, 10, rs3.integers(2, 12))
         grid = np.linspace(0.1, 2.0, lm.size)
         prof = na.LMProfile(grid=grid, lm=lm, k2=1, whitened=None, family="stnar",
-                            domain="cont", null_fit=None)
+                            null_fit=None)
         if davies_pvalue(prof) < chi2_sf(float(lm.max()), 1) - 1e-15:
             dominated = False
     checks.append(("Davies dominates pointwise", dominated, "100 profiles"))
@@ -374,8 +374,7 @@ def test_criterion_10a_chicago_qmle_and_test():
     assert summary["median_out_degree"] == pytest.approx(5.0, abs=0.5)
     fit = qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2), "count"))
     target = np.array([0.455, 0.322, 0.284])
-    res = na.lm_test(panel, net, ModelSpec.drift((1.0, 0.2, 0.2), 0.0, "count"),
-                     null_fit=fit)
+    res = na.lm_test(panel, net, ModelSpec.drift((1.0, 0.2, 0.2), 0.0, "count"))
     ok = (np.max(np.abs(fit.theta_hat - target)) <= 0.005
           and abs(res.statistic - 8.999) <= 0.05)
     _report("10a", ok, f"theta {fit.theta_hat.round(4)} vs {target}; "
@@ -390,8 +389,7 @@ def test_criterion_10b_wind_ols_and_test():
     assert panel.n == 102 and panel.t == 721
     fit = ols_fit_linear(panel, net)
     target = np.array([0.154, 0.157, 0.768])
-    res = na.lm_test(panel, net, ModelSpec.drift((0.0, 0.0, 0.0), 0.0, "cont"),
-                     null_fit=fit)
+    res = na.lm_test(panel, net, ModelSpec.drift((0.0, 0.0, 0.0), 0.0, "cont"))
     ok = (np.max(np.abs(fit.theta_hat - target)) <= 0.002
           and abs(fit.sigma2_hat - 0.156) <= 0.003
           and abs(res.statistic - 131.052) <= 0.5)

@@ -239,6 +239,39 @@ def test_stationary_init_rejected_for_nonlinear(small_net):
     assert panel.t == 10
 
 
+def test_linear_stationary_start_then_burn_in_follows_the_reference_recursion(small_net):
+    # K warm-up steps of the embedded linear mean, then burn-in and sample
+    # steps of the stnar mean, all on one noise stream
+    spec = ModelSpec.stnar((1.0, 0.3, 0.2), 0.3, 0.5, "cont")
+    linear = ModelSpec.linear(spec.beta, "cont")
+    warm, burn, t = _warmup_steps(0.3, 0.2), 15, 20
+    noise = rng.normal(rng.stream(9, 0x51), (warm + burn + t, small_net.n))
+    y = np.full(small_net.n, 1.0 / (1.0 - 0.3 - 0.2))
+    steps = []
+    for k, xi in enumerate(noise):
+        y = na.cond_mean(linear if k < warm else spec, small_net, y) + xi
+        steps.append(y)
+    panel = simulate_gaussian(spec, small_net, SimConfig(
+        T=t, burn_in=burn, seed=9, init="linear-stationary"))
+    assert np.array_equal(panel.values, np.array(steps[warm + burn:]).T)
+
+
+@pytest.mark.parametrize("vector, match", [
+    (False, "init scalar is not finite: nan"),
+    (True, "init vector at node 3 is not finite: inf"),
+])
+@pytest.mark.parametrize("domain", ["cont", "count"])
+def test_non_finite_fixed_start_rejected(small_net, vector, match, domain):
+    init = np.where(np.arange(small_net.n) == 3, np.inf, 1.0) if vector else np.nan
+    cfg = SimConfig(T=5, burn_in=0, seed=0, init=init)
+    with pytest.raises(ValueError, match=match):
+        if domain == "cont":
+            simulate_gaussian(ModelSpec.linear((1.0, 0.3, 0.2), "cont"), small_net, cfg)
+        else:
+            simulate_count(ModelSpec.linear((1.0, 0.3, 0.2)), small_net,
+                           CopulaSpec("identity"), cfg)
+
+
 def test_burn_in_discards_transient(small_net):
     spec = ModelSpec.linear((1.5, 0.4, 0.5), "cont")
     cfg = SimConfig(T=30, burn_in=200, seed=5, init="zero")

@@ -22,12 +22,9 @@ def test_isolated_node_gets_zero_row_and_warning():
     assert list(net.zero_degree) == [1, 2]
 
 
-def test_self_loop_rejected_or_dropped():
-    with pytest.raises(ValueError):
+def test_self_loop_rejected():
+    with pytest.raises(ValueError, match="self-loops are not allowed"):
         row_normalize([(0, 0), (0, 1)], 2)
-    with pytest.warns(UserWarning, match="self-loop"):
-        net = row_normalize([(0, 0), (0, 1)], 2, self_loops="drop")
-    assert net.n_edges == 1
 
 
 def test_duplicate_edges_deduplicated_with_warning():

@@ -20,7 +20,7 @@ def _profile_from(lm_values, k2=1, family="stnar"):
     lm_values = np.asarray(lm_values, dtype=float)
     grid = np.linspace(0.1, 2.0, lm_values.size)
     return LMProfile(grid=grid, lm=lm_values, k2=k2, whitened=None, family=family,
-                     domain="cont", null_fit=None)
+                     null_fit=None)
 
 
 # grids --------------------------------------------------------------------------
@@ -44,7 +44,6 @@ def test_tnar_grid_quantile_rule(small_net):
         vals[:, s] = target[s]
     panel = Panel(vals)
     grid = default_grid("tnar", panel=panel, net=small_net)
-    assert grid.source == "tnar-quantile"
     assert len(grid) == 10
     assert grid.values[0] == pytest.approx(1.0, abs=0.5)
     assert grid.values[-1] == pytest.approx(9.0, abs=0.5)

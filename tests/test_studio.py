@@ -190,6 +190,7 @@ def test_bad_init_or_copula_rejected_before_simulation(extra, match, monkeypatch
     ({"network": {"model": "sbm", "k": 1.5}}, r"network k must be an integer in \[1, n=20\]"),
     ({"network": {"model": "er", "p": 1.5}},
      r"network p must be None or lie in \[0, 1\], got 1.5"),
+    ({"init": [0.0] * 19 + [float("nan")]}, "init vector at node 19 is not finite: nan"),
 ])
 @pytest.mark.parametrize("build", ["from_dict", "direct"])
 def test_bad_setting_rejected_when_the_scenario_is_built(extra, match, build, monkeypatch):
