@@ -4,13 +4,15 @@ Continuous panels follow Y_t = lam_t + xi_t with i.i.d. Gaussian errors;
 the linear family can start in its stationary Gaussian law, reached by
 warm-up steps of the linear recursion Y <- b0 + (b1 W + b2 I) Y + s xi.
 
-Count panels are generated through a Gaussian-copula waiting-time
-construction: unit-exponential inter-arrival times are built from copula
-uniforms and each Y_i counts the arrivals falling in [0, lam_i], which
-makes every marginal exactly Poisson(lam_i) while the copula induces
-cross-sectional dependence.  The copula's Cholesky factor is applied to
-each event row in O(N) from its closed form (see _apply_copula_factor);
-no N x N matrix is formed and nothing is cached.
+Count panels have exact Poisson(lam_i) marginals.  Under an independent
+copula (identity, or rho = 0) the nodes are independent and each step is
+one Generator.poisson draw.  A dependent copula (AR-1 or exchangeable)
+goes through a Gaussian-copula waiting-time construction: unit-exponential
+inter-arrival times are built from copula uniforms and each Y_i counts the
+arrivals falling in [0, lam_i], so the copula induces cross-sectional
+dependence while every marginal stays Poisson.  The copula's Cholesky
+factor is applied to each event row in O(N) from its closed form (see
+_apply_copula_factor); no N x N matrix is formed and nothing is cached.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class CopulaSpec:
     @property
     def is_independent(self) -> bool:
         # rho == 0 gives R = I exactly, so take the identity path and keep
-        # the uniform stream byte-identical to an identity draw
+        # the uniform and count streams byte-identical to an identity draw
         return self.structure == "identity" or self.rho == 0.0
 
     def check_dimension(self, n: int) -> None:
@@ -299,17 +301,26 @@ def _event_cap(lam_max: float) -> int:
 
 def copula_poisson_draw(lam: np.ndarray, cop: CopulaSpec,
                         gen: np.random.Generator) -> np.ndarray:
-    """Joint count draw with exact Poisson(lam_i) marginals.
+    """Joint count draw with exact Poisson(lam_i) marginals, as int64.
 
-    Waiting-time construction: for event l draw U_l from the copula, take
-    inter-arrivals E_il = -log(U_il), accumulate S_il, and stop once
-    min_i S_il exceeds max_i lam_i; Y_i counts events with S_il <= lam_i.
-    Events are drawn in chunks whose sizes do not depend on lam, so two
-    draws from the same stream state are exactly coupled.
+    An independent copula draws gen.poisson(lam) directly.  A dependent
+    copula uses the waiting-time construction: for event l draw U_l from
+    the copula, take inter-arrivals E_il = -log(U_il), accumulate S_il, and
+    stop once min_i S_il exceeds max_i lam_i; Y_i counts events with
+    S_il <= lam_i.  Its events are drawn in chunks whose sizes do not
+    depend on lam, so two dependent-copula draws from the same stream state
+    are exactly coupled.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(lam)) or np.any(lam < 0):
         raise ValueError("intensities must be finite and nonnegative")
+    if cop.is_independent:
+        try:
+            return gen.poisson(lam)
+        except ValueError as exc:  # lam above numpy's limit, about 9.2e18
+            raise RuntimeError(
+                f"intensity {lam.max():.3g} exceeds the Poisson sampler's limit; "
+                "intensities look explosive") from exc
     n = lam.shape[0]
     lam_max = float(lam.max(initial=0.0))
     counts = np.zeros(n, dtype=np.int64)

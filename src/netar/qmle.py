@@ -280,9 +280,23 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
     if not np.isfinite(ll):
         raise ValueError("starting value is inadmissible")
 
-    def parts_at(t, lam_t):
-        s_t, hess = _quasi_parts(spec.with_active(t), y_now, y_lag, x_lag, lam_t)
-        return s_t, hess, s_t.sum(axis=0)
+    if spec.family == "linear":
+        # the derivatives (1, X, Y) do not depend on theta: build them once and
+        # write _weights' count formulas into two reused buffers
+        cols = jac_elementwise(spec, x_lag, y_lag)
+        weight, curv = np.empty_like(y_now), np.empty_like(y_now)
+
+        def parts_at(t, lam_t):
+            np.divide(y_now, lam_t, out=weight)
+            np.subtract(weight, 1.0, out=weight)
+            np.multiply(lam_t, lam_t, out=curv)
+            np.divide(y_now, curv, out=curv)
+            s_t, hess = _score_parts(cols, weight, curv)
+            return s_t, hess, s_t.sum(axis=0)
+    else:
+        def parts_at(t, lam_t):
+            s_t, hess = _quasi_parts(spec.with_active(t), y_now, y_lag, x_lag, lam_t)
+            return s_t, hess, s_t.sum(axis=0)
 
     jitter_total = 0
     converged = False

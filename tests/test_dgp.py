@@ -371,30 +371,62 @@ def test_ar1_copula_factor_near_unit_rho_matches_long_double_recurrence():
 
 # copula-Poisson draws -----------------------------------------------------------
 
+def _poisson_gof_pvalue(draws, lam):
+    """Chi-square p-value of i.i.d. draws against Poisson(lam), the cells below
+    and above those with expected count >= 5 pooled into the two end cells."""
+    draws = np.asarray(draws).astype(np.int64)
+    law = stats.poisson(lam)
+    k = np.arange(int(draws.max()) + 1)
+    inner = np.flatnonzero(draws.size * law.pmf(k) >= 5)
+    lo, hi = inner[0], inner[-1]
+    counts = np.bincount(draws, minlength=k.size)
+    observed = np.concatenate([[counts[:lo + 1].sum()], counts[lo + 1:hi],
+                               [counts[hi:].sum()]])
+    prob = np.concatenate([[law.cdf(lo)], law.pmf(k[lo + 1:hi]), [law.sf(hi - 1)]])
+    return stats.chisquare(observed, draws.size * prob).pvalue
+
+
 def test_zero_intensity_returns_zero_counts():
-    y = copula_poisson_draw(np.zeros(5), CopulaSpec("identity"), rng.stream(2))
-    assert np.array_equal(y, np.zeros(5, dtype=np.int64))
+    for cop in (CopulaSpec("identity"), CopulaSpec("ar1", 0.5)):
+        y = copula_poisson_draw(np.zeros(5), cop, rng.stream(2))
+        assert y.dtype == np.int64 and np.array_equal(y, np.zeros(5))
 
 
 def test_marginals_are_exactly_poisson():
+    # the waiting-time construction under a dependent copula.  The nodes of one
+    # draw are dependent, so the grand mean's se comes from the row sums (false
+    # alarm 0.27%) and each node's GOF is tested alone at p > 0.01/4 (false
+    # alarm at most 1% over the 4 nodes)
     gen = rng.stream(3)
-    cop = CopulaSpec("identity")
+    cop = CopulaSpec("exch", 0.3)
     lam = np.full(4, 2.0)
     draws = np.array([copula_poisson_draw(lam, cop, gen) for _ in range(25_000)])
-    flat = draws.ravel()  # marginals identical across components
-    n = flat.size
-    assert abs(flat.mean() - 2.0) < 3 * np.sqrt(2.0 / n)
-    assert abs(flat.var() - 2.0) < 3 * np.sqrt(2 * 2.0 ** 2 / n) + 0.05
-    kmax = int(flat.max())
-    observed = np.bincount(flat.astype(int), minlength=kmax + 1)
-    expected = n * stats.poisson(2.0).pmf(np.arange(kmax + 1))
-    tail = expected < 5
-    if tail.any():
-        cut = np.argmax(tail)
-        observed = np.concatenate([observed[:cut], [observed[cut:].sum()]])
-        expected = np.concatenate([expected[:cut], [expected[cut:].sum()]])
-    gof = stats.chisquare(observed, expected * observed.sum() / expected.sum())
-    assert gof.pvalue > 0.01
+    se = draws.sum(axis=1).std(ddof=1) / (4 * np.sqrt(draws.shape[0]))
+    assert abs(draws.mean() - 2.0) < 3 * se
+    assert abs(draws.var() - 2.0) < 3 * np.sqrt(2 * 2.0 ** 2 / draws.size) + 0.05
+    for node in draws.T:
+        assert _poisson_gof_pvalue(node, 2.0) > 0.01 / 4
+
+
+@pytest.mark.parametrize("lam", [2.0, 15.0])
+def test_independent_copula_draw_is_exactly_poisson(lam):
+    # one direct draw of 1e5 independent nodes; lam = 15 takes numpy's sampler
+    # for lam >= 10.  False alarm 1% at p > 0.01
+    y = copula_poisson_draw(np.full(100_000, lam), CopulaSpec("identity"), rng.stream(5))
+    assert y.dtype == np.int64
+    assert _poisson_gof_pvalue(y, lam) > 0.01
+
+
+def _refuse_copula_uniforms(*args, **kwargs):
+    raise AssertionError("draw_copula_uniform called for an independent copula")
+
+
+def test_intensity_beyond_the_poisson_sampler_limit_is_explosive(monkeypatch):
+    # numpy's Poisson sampler takes lam up to about 9.2e18.  The waiting-time
+    # path would double its event chunks until memory runs out, so it must not run
+    monkeypatch.setattr("netar.dgp.draw_copula_uniform", _refuse_copula_uniforms)
+    with pytest.raises(RuntimeError, match="intensities look explosive"):
+        copula_poisson_draw(np.array([1.0, 1e19]), CopulaSpec("identity"), rng.stream(0))
 
 
 def test_ar1_copula_induces_positive_count_correlation():
@@ -408,15 +440,7 @@ def test_ar1_copula_induces_positive_count_correlation():
     corr = np.corrcoef(draws.T)[0, 1]
     assert corr > 3.0 / np.sqrt(draws.shape[0])
     # marginals stay exactly Poisson under a correlated copula
-    flat = draws[:, 0]
-    kmax = int(flat.max())
-    observed = np.bincount(flat.astype(int), minlength=kmax + 1)
-    expected = flat.size * stats.poisson(3.0).pmf(np.arange(kmax + 1))
-    cut = np.argmax(expected < 5) or expected.size
-    observed = np.concatenate([observed[:cut], [observed[cut:].sum()]])
-    expected = np.concatenate([expected[:cut], [expected[cut:].sum()]])
-    gof = stats.chisquare(observed, expected * observed.sum() / expected.sum())
-    assert gof.pvalue > 0.01
+    assert _poisson_gof_pvalue(draws[:, 0], 3.0) > 0.01
 
 
 def test_monotone_coupling_on_shared_stream():
@@ -459,6 +483,16 @@ def test_count_panel_equals_the_dense_factor_panel(small_net, structure, rho, mo
     chol = _dense_copula_factor(structure, rho, small_net.n)
     monkeypatch.setattr("netar.dgp._apply_copula_factor", lambda cop, e: e @ chol.T)
     assert np.array_equal(simulate_count(spec, small_net, cop, cfg).values, panel)
+
+
+def test_independent_copula_panel_draws_no_copula_uniforms(small_net, monkeypatch):
+    # identity and rho = 0 panels take the direct Poisson draw, so they agree
+    monkeypatch.setattr("netar.dgp.draw_copula_uniform", _refuse_copula_uniforms)
+    spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
+    cfg = SimConfig(T=40, burn_in=40, seed=15)
+    panel = simulate_count(spec, small_net, CopulaSpec("identity"), cfg).values
+    assert np.array_equal(simulate_count(spec, small_net, CopulaSpec("ar1", 0.0), cfg).values,
+                          panel)
 
 
 def test_count_long_run_mean(small_net):

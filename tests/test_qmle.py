@@ -208,6 +208,20 @@ def test_qmle_from_truth_on_tiny_panel_converges(small_net):
     assert np.max(np.abs(fit.score_at_opt)) < 1e-6 * fit.n_obs
 
 
+@pytest.mark.parametrize("n", [30, 200])
+@pytest.mark.parametrize("structure, rho", [("identity", 0.0), ("ar1", 0.5), ("exch", 0.3)])
+def test_qmle_parts_equal_the_shared_kernel_at_theta_hat(n, structure, rho):
+    # the linear fit writes its weights into reused buffers; they must give
+    # exactly poisson_hessian's curvature and poisson_score's score
+    net = na.gen_sbm(n, 2, seed=31)
+    spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
+    panel = na.simulate_count(spec, net, na.CopulaSpec(structure, rho),
+                              SimConfig(T=120, burn_in=100, seed=32))
+    fit = qmle_fit(panel, net, spec)
+    assert np.array_equal(fit.hessian, poisson_hessian(panel, net, spec, fit.theta_hat))
+    assert np.array_equal(fit.score_at_opt, poisson_score(panel, net, spec, fit.theta_hat))
+
+
 def test_qmle_permutation_invariance(small_net, count_panel, rs):
     spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
     fit = qmle_fit(count_panel, small_net, spec)
