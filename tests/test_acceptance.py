@@ -210,7 +210,7 @@ def test_criterion_03_count_chi2_size():
         "name": "count-size", "network": {"model": "sbm", "k": 5},
         "n": 200, "t": 300, "domain": "count", "theta": (1.0, 0.3, 0.2),
         "copula": {"structure": "ar1", "rho": 0.5}, "burn_in": 300,
-        "reps": 500, "test": {"kind": "chi2"},
+        "reps": 2000, "test": {"kind": "chi2"},
     })], base_seed=20240603)
     rows, _ = run_mc_study(cfg)
     rates = _rates(rows)
