@@ -13,6 +13,9 @@ arrivals falling in [0, lam_i], so the copula induces cross-sectional
 dependence while every marginal stays Poisson.  The copula's Cholesky
 factor is applied to each event row in O(N) from its closed form (see
 _apply_copula_factor); no N x N matrix is formed and nothing is cached.
+Event rows are drawn only until every node's arrival time has passed its
+own lam_i, in chunks whose first size follows lam_max; the rows are read
+off the stream in order, so the chunk sizes never change the counts.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ INIT_MODES = {"cont": ("default", "stationary", "linear-stationary", "zero"),
               "count": ("default", "zero")}
 _TAIL_TOL = 1e-10  # bound on the stationary series' omitted tail, relative to sigma^2
 _NOISE_ROWS = 1024  # time steps per noise draw; blocks consume the stream in order
+_EVENT_ELEMENTS = 1 << 25  # event rows x nodes one count draw may take (256 MiB as float64)
 
 
 @dataclass(frozen=True)
@@ -73,26 +77,33 @@ class CopulaSpec:
 
 
 def _apply_copula_factor(cop: CopulaSpec, e: np.ndarray) -> np.ndarray:
-    """L e along the last axis in O(N), for L the Cholesky factor of the copula's R.
+    """L e along the last axis in O(N), in place, for L the Cholesky factor of the copula's R.
 
     exch: the Schur complements keep diagonal minus off-diagonal at 1 - rho, so
     L[j, j] = d_j and L[i, j] = c_j (i > j) with b_j = rho(1-rho)/(1+(j-1)rho),
     d_j = sqrt(1-rho+b_j), c_j = b_j/d_j.  ar1: z_0 = e_0, z_i = rho z_{i-1} +
     sqrt(1-rho^2) e_i, summed as rho^i cumsum(rho^-j x_j) in blocks with |rho|^-j <= 2^500.
+    Returns e, which now holds L e.
     """
     n, rho = e.shape[-1], cop.rho
     if cop.structure == "exch":
         b = rho * (1.0 - rho) / (1.0 + (np.arange(n) - 1) * rho)
         d = np.sqrt(1.0 - rho + b)
         c = b / d
-        return (d - c) * e + np.cumsum(c * e, axis=-1)
-    x = e * np.sqrt(1.0 - rho * rho * (np.arange(n) > 0))  # x_0 = e_0
+        below = np.cumsum(c * e, axis=-1)
+        e *= d - c
+        e += below
+        return e
+    e[..., 1:] *= np.sqrt(1.0 - rho * rho)  # x_0 = e_0
     block = 1 + int(500 * np.log(2.0) / -np.log(abs(rho)))
     for start in range(0, n, block):
-        seg, j = slice(start, start + block), np.arange(min(block, n - start))
-        carry = rho * x[..., start - 1:start] if start else 0.0  # rho z_{start-1}
-        x[..., seg] = rho ** j * (np.cumsum(rho ** -j * x[..., seg], axis=-1) + carry)
-    return x
+        seg, j = e[..., start:start + block], np.arange(min(block, n - start))
+        seg *= rho ** -j
+        np.cumsum(seg, axis=-1, out=seg)
+        if start:
+            seg += rho * e[..., start - 1:start]  # rho z_{start-1}
+        seg *= rho ** j
+    return e
 
 
 @dataclass
@@ -286,17 +297,28 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
 
 def draw_copula_uniform(cop: CopulaSpec, n: int, gen: np.random.Generator,
                         rows: Optional[int] = None) -> np.ndarray:
-    """Copula draws on (0,1)^n; a matrix of ``rows`` draws when requested."""
+    """Copula draws on (0,1)^n; a matrix of ``rows`` draws when requested.
+
+    An independent copula returns open-interval uniforms.  A dependent one
+    returns ndtr(L z) for standard normal rows z, formed in z's own buffer.
+    Either way the rows come off the stream in order, so one draw of
+    a + b rows equals a draw of a rows followed by one of b.
+    """
     cop.check_dimension(n)
     shape = (rows, n) if rows is not None else n
-    u = rng.uniform_open(gen, shape)
     if cop.is_independent:
-        return u
-    return rng.ndtr(_apply_copula_factor(cop, rng.ndtri(u)))
+        return rng.uniform_open(gen, shape)
+    z = _apply_copula_factor(cop, gen.standard_normal(shape))
+    return rng.ndtr(z, out=z)
 
 
-def _event_cap(lam_max: float) -> int:
-    return int(10.0 * (lam_max + 10.0 * np.sqrt(lam_max) + 50.0))
+def _event_cap(lam_max: float, n: int) -> int:
+    """Most event rows one dependent-copula draw may take before it calls lam explosive.
+
+    A draw needs about lam_max + a few sqrt(lam_max) rows; the cap allows ten
+    times that, and at most _EVENT_ELEMENTS rows x nodes in all.
+    """
+    return min(int(10.0 * (lam_max + 10.0 * np.sqrt(lam_max) + 50.0)), _EVENT_ELEMENTS // n)
 
 
 def copula_poisson_draw(lam: np.ndarray, cop: CopulaSpec,
@@ -305,11 +327,16 @@ def copula_poisson_draw(lam: np.ndarray, cop: CopulaSpec,
 
     An independent copula draws gen.poisson(lam) directly.  A dependent
     copula uses the waiting-time construction: for event l draw U_l from
-    the copula, take inter-arrivals E_il = -log(U_il), accumulate S_il, and
-    stop once min_i S_il exceeds max_i lam_i; Y_i counts events with
-    S_il <= lam_i.  Its events are drawn in chunks whose sizes do not
-    depend on lam, so two dependent-copula draws from the same stream state
-    are exactly coupled.
+    the copula, take inter-arrivals E_il = -log(U_il) and arrival times
+    S_il = E_i1 + ... + E_il; Y_i counts the events with S_il <= lam_i.
+    Node i's count is settled once S_il > lam_i, so the draw stops when that
+    holds at every node.  Events come in chunks: the first of
+    lam_max + 3 sqrt(lam_max) + 3 rows, each later one twice the last.  Each
+    chunk is one buffer holding U, then log U, then -S (the running sum
+    carried over from the last chunk), compared with -lam in place.  The
+    rows are read off the stream in order, so the counts do not depend on
+    the chunk sizes, and two dependent-copula draws from the same stream
+    state read the same event rows: raising any lam_i can only raise Y_i.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all(np.isfinite(lam)) or np.any(lam < 0):
@@ -327,21 +354,23 @@ def copula_poisson_draw(lam: np.ndarray, cop: CopulaSpec,
     if lam_max == 0.0:
         return counts
 
-    cap = _event_cap(lam_max)
-    chunk, drawn = 16, 0
-    base = np.zeros(n)
+    cap = _event_cap(lam_max, n)
+    neg_lam, neg_s = -lam, np.zeros(n)  # -S after the rows drawn so far
+    chunk, drawn = int(lam_max + 3.0 * np.sqrt(lam_max)) + 3, 0
     while True:
-        u = draw_copula_uniform(cop, n, gen, rows=chunk)
-        s = base + np.cumsum(-np.log(u), axis=0)
-        counts += (s <= lam).sum(axis=0)
-        base = s[-1]
-        drawn += chunk
-        if base.min() > lam_max:
-            return counts
-        if drawn > cap:
+        if drawn + chunk > cap:
             raise RuntimeError(
-                f"event count exceeded the safety cap ({cap}); "
-                "intensities look explosive")
+                f"a draw at intensity {lam_max:.3g} would pass {cap} event rows of "
+                f"{n} nodes; intensities look explosive")
+        buf = draw_copula_uniform(cop, n, gen, rows=chunk)
+        np.log(buf, out=buf)
+        buf[0] += neg_s
+        np.cumsum(buf, axis=0, out=buf)
+        counts += (buf >= neg_lam).sum(axis=0)
+        neg_s = buf[-1].copy()
+        if np.all(neg_s < neg_lam):
+            return counts
+        drawn += chunk
         chunk *= 2
 
 

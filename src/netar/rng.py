@@ -3,9 +3,12 @@
 Every stochastic routine in the package draws from a counter-based Philox
 generator keyed through a SplitMix64 hash of (seed, task indices), so that
 simulations, Monte Carlo replications and bootstrap draws are pure
-functions of the user-facing seed.  Normal variates are produced by the
-inverse-CDF transform of open-interval uniforms, which keeps every draw a
-deterministic function of the underlying uniform stream.
+functions of the user-facing seed.  ``normal`` (the Gaussian noise of
+continuous panels and the bootstrap multipliers) takes the inverse-CDF
+transform of open-interval uniforms.  The Gaussian rows of a dependent
+count copula come from ``Generator.standard_normal`` instead, which is
+cheaper and, like every draw here, reads the stream in order: one draw of
+a + b rows equals a draw of a rows followed by one of b.
 """
 
 from __future__ import annotations

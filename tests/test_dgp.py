@@ -347,8 +347,8 @@ def test_copula_factor_matches_the_dense_cholesky_factor(n, structure, rho):
     chol = _dense_copula_factor(structure, rho, n)
     for rows in (None, 16):
         shape = n if rows is None else (rows, n)
-        e = rng.ndtri(rng.uniform_open(rng.stream(12, n), shape))
-        assert np.max(np.abs(_apply_copula_factor(cop, e) - e @ chol.T)) <= 1e-13
+        e = rng.stream(12, n).standard_normal(shape)
+        assert np.max(np.abs(_apply_copula_factor(cop, e.copy()) - e @ chol.T)) <= 1e-13
         u = draw_copula_uniform(cop, n, rng.stream(12, n), rows=rows)
         assert u.shape == e.shape
         assert np.max(np.abs(u - rng.ndtr(e @ chol.T))) <= 1e-13
@@ -365,7 +365,7 @@ def test_ar1_copula_factor_near_unit_rho_matches_long_double_recurrence():
     ref[:, 0] = e[:, 0]
     for i in range(1, n):
         ref[:, i] = r * ref[:, i - 1] + s * e[:, i]
-    z = _apply_copula_factor(CopulaSpec("ar1", rho), e)
+    z = _apply_copula_factor(CopulaSpec("ar1", rho), e.copy())
     assert np.max(np.abs(z - ref)) <= 1e-13
 
 
@@ -418,7 +418,7 @@ def test_independent_copula_draw_is_exactly_poisson(lam):
 
 
 def _refuse_copula_uniforms(*args, **kwargs):
-    raise AssertionError("draw_copula_uniform called for an independent copula")
+    raise AssertionError("draw_copula_uniform was called")
 
 
 def test_intensity_beyond_the_poisson_sampler_limit_is_explosive(monkeypatch):
@@ -427,6 +427,50 @@ def test_intensity_beyond_the_poisson_sampler_limit_is_explosive(monkeypatch):
     monkeypatch.setattr("netar.dgp.draw_copula_uniform", _refuse_copula_uniforms)
     with pytest.raises(RuntimeError, match="intensities look explosive"):
         copula_poisson_draw(np.array([1.0, 1e19]), CopulaSpec("identity"), rng.stream(0))
+
+
+def test_explosive_or_oversized_dependent_draw_fails_before_drawing(monkeypatch):
+    # at lam = 1e19 the lam-sized first chunk alone passes the event-row cap; lam =
+    # 1e5 at 1000 nodes needs about 1e8 event cells, over the element budget
+    monkeypatch.setattr("netar.dgp.draw_copula_uniform", _refuse_copula_uniforms)
+    for lam in (np.array([1.0, 1e19]), np.full(1000, 1e5)):
+        for cop in (CopulaSpec("ar1", 0.5), CopulaSpec("exch", 0.3)):
+            with pytest.raises(RuntimeError, match="intensities look explosive"):
+                copula_poisson_draw(lam, cop, rng.stream(0))
+
+
+def _long_draw_counts(lam, cop, gen, rows):
+    """Counts from one draw of ``rows`` event rows, which must cover every node."""
+    s = np.cumsum(-np.log(draw_copula_uniform(cop, lam.size, gen, rows=rows)), axis=0)
+    assert np.all(s[-1] > lam)
+    return (s <= lam).sum(axis=0)
+
+
+@pytest.mark.parametrize("structure, rho", [("ar1", 0.5), ("ar1", -0.7),
+                                            ("exch", 0.3), ("exch", -0.0004)])
+def test_dependent_draw_equals_one_long_draw(structure, rho, monkeypatch):
+    # the chunked draw with its per-node stopping rule counts the same events
+    # as one long draw from the same stream state.  2000 nodes at lam = 40
+    # outrun the 61-row first chunk with probability 0.91, so second chunks run too
+    cop = CopulaSpec(structure, rho)
+    chunks = []
+
+    def recorded(cop, n, gen, rows=None):
+        chunks.append(rows)
+        return draw_copula_uniform(cop, n, gen, rows)
+
+    for n in (1, 2, 5, 200, 2000):
+        for s in range(6):
+            lam = rng.stream(31, n, s).gamma(2.0, 1.5, n)
+            lam[0] = (0.0, 0.3, 40.0)[s % 3]
+            if s >= 4:
+                lam[:] = 40.0
+            monkeypatch.setattr("netar.dgp.draw_copula_uniform", recorded)
+            y = copula_poisson_draw(lam, cop, rng.stream(32, n, s))
+            monkeypatch.undo()
+            ref = _long_draw_counts(lam, cop, rng.stream(32, n, s), rows=int(lam.max()) + 200)
+            assert np.array_equal(y, ref)
+    assert 122 in chunks  # a second chunk after the first 61 rows
 
 
 def test_ar1_copula_induces_positive_count_correlation():
@@ -443,16 +487,18 @@ def test_ar1_copula_induces_positive_count_correlation():
     assert _poisson_gof_pvalue(draws[:, 0], 3.0) > 0.01
 
 
-def test_monotone_coupling_on_shared_stream():
-    # raising a below-max coordinate keeps the event schedule identical,
-    # so counts can only grow
-    cop = CopulaSpec("ar1", 0.3)
+@pytest.mark.parametrize("cop", [CopulaSpec("ar1", 0.3), CopulaSpec("exch", 0.3)])
+def test_monotone_coupling_on_shared_stream(cop):
+    # two draws from one stream state read the same event rows, whatever
+    # chunks each takes, so raising any coordinate, the maximum too, can
+    # only raise counts
     lam_lo = np.array([1.0, 2.0, 5.0])
-    lam_hi = np.array([2.5, 4.0, 5.0])
-    for s in range(30):
-        y_lo = copula_poisson_draw(lam_lo, cop, rng.stream(77, s))
-        y_hi = copula_poisson_draw(lam_hi, cop, rng.stream(77, s))
-        assert np.all(y_hi >= y_lo)
+    for lam_hi in (np.array([2.5, 4.0, 5.0]), np.array([1.0, 2.0, 30.0]),
+                   np.array([3.0, 2.5, 12.0])):
+        for s in range(30):
+            y_lo = copula_poisson_draw(lam_lo, cop, rng.stream(77, s))
+            y_hi = copula_poisson_draw(lam_hi, cop, rng.stream(77, s))
+            assert np.all(y_hi >= y_lo)
 
 
 def test_rejects_bad_intensities():
