@@ -459,15 +459,14 @@ def test_dependent_draw_equals_one_long_draw(structure, rho, monkeypatch):
         chunks.append(rows)
         return draw_copula_uniform(cop, n, gen, rows)
 
+    monkeypatch.setattr("netar.dgp.draw_copula_uniform", recorded)
     for n in (1, 2, 5, 200, 2000):
         for s in range(6):
             lam = rng.stream(31, n, s).gamma(2.0, 1.5, n)
             lam[0] = (0.0, 0.3, 40.0)[s % 3]
             if s >= 4:
                 lam[:] = 40.0
-            monkeypatch.setattr("netar.dgp.draw_copula_uniform", recorded)
             y = copula_poisson_draw(lam, cop, rng.stream(32, n, s))
-            monkeypatch.undo()
             ref = _long_draw_counts(lam, cop, rng.stream(32, n, s), rows=int(lam.max()) + 200)
             assert np.array_equal(y, ref)
     assert 122 in chunks  # a second chunk after the first 61 rows
@@ -487,18 +486,18 @@ def test_ar1_copula_induces_positive_count_correlation():
     assert _poisson_gof_pvalue(draws[:, 0], 3.0) > 0.01
 
 
-@pytest.mark.parametrize("cop", [CopulaSpec("ar1", 0.3), CopulaSpec("exch", 0.3)])
-def test_monotone_coupling_on_shared_stream(cop):
+def test_monotone_coupling_on_shared_stream():
     # two draws from one stream state read the same event rows, whatever
     # chunks each takes, so raising any coordinate, the maximum too, can
     # only raise counts
     lam_lo = np.array([1.0, 2.0, 5.0])
-    for lam_hi in (np.array([2.5, 4.0, 5.0]), np.array([1.0, 2.0, 30.0]),
-                   np.array([3.0, 2.5, 12.0])):
-        for s in range(30):
-            y_lo = copula_poisson_draw(lam_lo, cop, rng.stream(77, s))
-            y_hi = copula_poisson_draw(lam_hi, cop, rng.stream(77, s))
-            assert np.all(y_hi >= y_lo)
+    for cop in (CopulaSpec("ar1", 0.3), CopulaSpec("exch", 0.3)):
+        for lam_hi in (np.array([2.5, 4.0, 5.0]), np.array([1.0, 2.0, 30.0]),
+                       np.array([3.0, 2.5, 12.0])):
+            for s in range(30):
+                y_lo = copula_poisson_draw(lam_lo, cop, rng.stream(77, s))
+                y_hi = copula_poisson_draw(lam_hi, cop, rng.stream(77, s))
+                assert np.all(y_hi >= y_lo)
 
 
 def test_rejects_bad_intensities():
