@@ -165,8 +165,10 @@ def test_count_hessian_cross_term_present(small_net, count_panel):
 def test_lm_h0_calibration_continuous():
     net = na.gen_sbm(40, 2, seed=51)
     spec = ModelSpec.linear((1.5, 0.4, 0.5), "cont")
+    # under an exact chi2_1 null the mean and variance bands fail together
+    # with probability about 0.2% at 1000 replications (16% at 150)
     stats = []
-    for r in range(150):
+    for r in range(1000):
         panel = na.simulate_gaussian(spec, net, SimConfig(T=200, seed=5500 + r))
         stats.append(lm_test(panel, net,
                              ModelSpec.drift((1.0, 0.3, 0.2), 0.0, "cont")).statistic)
