@@ -43,8 +43,7 @@ __all__ = [
 
 STRUCTURES = ("identity", "ar1", "exch")
 # the named starts of each domain's simulator (besides a scalar or a length-N vector)
-INIT_MODES = {"cont": ("default", "stationary", "linear-stationary", "zero"),
-              "count": ("default", "zero")}
+INIT_MODES = {"cont": ("default", "stationary", "linear-stationary"), "count": ("default",)}
 _TAIL_TOL = 1e-10  # bound on the stationary series' omitted tail, relative to sigma^2
 _NOISE_ROWS = 1024  # time steps per noise draw; blocks consume the stream in order
 _EVENT_ELEMENTS = 1 << 25  # event rows x nodes one count draw may take (256 MiB as float64)
@@ -144,9 +143,10 @@ class Panel:
 class SimConfig:
     """Simulation length, burn-in, seed, error scale and initialization.
 
-    init accepts "default", "stationary", "zero", a scalar or a length-N
-    vector.  sigma applies to continuous panels only; sigma=0 produces the
-    deterministic skeleton and is allowed for testing.
+    init accepts "default", a scalar or a length-N vector, and for continuous
+    panels "stationary" or "linear-stationary" too.  sigma applies to
+    continuous panels only; sigma=0 produces the deterministic skeleton and
+    is allowed for testing.
     """
 
     T: int
@@ -262,7 +262,7 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
                           this reproduces the usual study mechanism in which
                           the relaxation of a nonlinear model away from the
                           linear start is part of the observed sample.
-      "zero" / vector / scalar   fixed start, cfg.burn_in steps discarded.
+      vector / scalar     fixed start, cfg.burn_in steps discarded.
       "default"           "stationary" for linear; mu0 plus burn-in for
                           nonlinear families.
     """
@@ -272,9 +272,7 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
     gen = rng.stream(cfg.seed, 0x51)
     mode, warm = _gaussian_start(spec, init)
     b0, b1, b2 = spec.beta
-    if mode == "zero":
-        y = np.zeros(net.n)
-    elif mode == "fixed":
+    if mode == "fixed":
         y = init
     else:
         denom = 1.0 - b1 - b2
@@ -391,10 +389,7 @@ def simulate_count(spec: ModelSpec, net: Network, cop: CopulaSpec,
             f"{verdict.condition_value:.3f}); simulation may drift")
 
     init = _resolve_init(cfg.init, net.n, "count")
-    if isinstance(init, str):
-        lam0 = np.ones(net.n) if init == "default" else np.zeros(net.n)
-    else:
-        lam0 = init
+    lam0 = np.ones(net.n) if isinstance(init, str) else init
     gen = rng.stream(cfg.seed, 0xC0)
 
     y = copula_poisson_draw(lam0, cop, gen).astype(float)

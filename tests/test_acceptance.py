@@ -254,7 +254,7 @@ def test_criterion_06_davies_stnar_power():
     cfg = StudyConfig(scenarios=[Scenario.from_dict({
         "name": "davies-power", "network": {"model": "sbm", "k": 2},
         "n": 200, "t": 200, "domain": "cont", "theta": (1.0, 0.3, 0.2),
-        "dgp_family": "stnar", "theta2": (0.5, 0.05), "init": "zero",
+        "dgp_family": "stnar", "theta2": (0.5, 0.05), "init": 0.0,
         "burn_in": 0, "reps": 200,
         "test": {"kind": "davies", "alt": "stnar"},
     })], base_seed=20240606)

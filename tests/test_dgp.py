@@ -274,7 +274,7 @@ def test_non_finite_fixed_start_rejected(small_net, vector, match, domain):
 
 def test_burn_in_discards_transient(small_net):
     spec = ModelSpec.linear((1.5, 0.4, 0.5), "cont")
-    cfg = SimConfig(T=30, burn_in=200, seed=5, init="zero")
+    cfg = SimConfig(T=30, burn_in=200, seed=5, init=0.0)
     panel = simulate_gaussian(spec, small_net, cfg)
     assert abs(panel.values[:, 0].mean() - 15.0) < 2.0
 
@@ -554,7 +554,7 @@ def test_zero_intensity_linear_chain_stays_zero(small_net):
     # b0 = 0 test process: zero start propagates zeros exactly
     spec = ModelSpec.linear((0.0, 0.3, 0.2), "count")
     panel = simulate_count(spec, small_net, CopulaSpec("identity"),
-                           SimConfig(T=1, burn_in=0, seed=1, init="zero"))
+                           SimConfig(T=1, burn_in=0, seed=1, init=0.0))
     assert np.array_equal(panel.values, np.zeros((small_net.n, 1)))
 
 
