@@ -285,7 +285,7 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
     noise = None
     for t in range(total):
         if cfg.sigma > 0 and t % _NOISE_ROWS == 0:
-            noise = rng.normal(gen, (min(_NOISE_ROWS, total - t), net.n), sd=cfg.sigma)
+            noise = cfg.sigma * gen.standard_normal((min(_NOISE_ROWS, total - t), net.n))
         lam = mean_elementwise(linear if t < warm else spec, net.w @ y, y)
         y = lam if noise is None else lam + noise[t % _NOISE_ROWS]
         if t >= warm:
@@ -295,18 +295,18 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
 
 def draw_copula_uniform(cop: CopulaSpec, n: int, gen: np.random.Generator,
                         rows: Optional[int] = None) -> np.ndarray:
-    """Copula draws on (0,1)^n; a matrix of ``rows`` draws when requested.
+    """Copula draws on (0,1]^n; a matrix of ``rows`` draws when requested.
 
-    An independent copula returns open-interval uniforms.  A dependent one
-    returns ndtr(L z) for standard normal rows z, formed in z's own buffer.
-    Either way the rows come off the stream in order, so one draw of
-    a + b rows equals a draw of a rows followed by one of b.
+    Returns ndtr(L z) for standard normal rows z, formed in z's own buffer,
+    with L = I for an independent copula.  A value is 1.0 only when ndtr
+    rounds up, with probability about 6e-17 per coordinate.  The rows come
+    off the stream in order, so one draw of a + b rows equals a draw of a
+    rows followed by one of b.
     """
     cop.check_dimension(n)
-    shape = (rows, n) if rows is not None else n
-    if cop.is_independent:
-        return rng.uniform_open(gen, shape)
-    z = _apply_copula_factor(cop, gen.standard_normal(shape))
+    z = gen.standard_normal((rows, n) if rows is not None else n)
+    if not cop.is_independent:
+        z = _apply_copula_factor(cop, z)
     return rng.ndtr(z, out=z)
 
 

@@ -263,7 +263,7 @@ def score_bootstrap(profile: LMProfile, g: str = "sup", reps: int = 499,
     if reps < 1:
         raise ValueError("need at least one bootstrap replication")
     observed = aggregate(profile, g)
-    weights = rng.normal(rng.stream(seed, 0xB5), (reps, profile.whitened.shape[1]))
+    weights = rng.stream(seed, 0xB5).standard_normal((reps, profile.whitened.shape[1]))
     stats = _whitened_stat(profile.whitened, weights.T)                # G x reps
     draws = stats.max(axis=0) if g == "sup" else stats.mean(axis=0)
     p = float(np.mean(draws >= observed))

@@ -3,20 +3,19 @@
 Every stochastic routine in the package draws from a counter-based Philox
 generator keyed through a SplitMix64 hash of (seed, task indices), so that
 simulations, Monte Carlo replications and bootstrap draws are pure
-functions of the user-facing seed.  ``normal`` (the Gaussian noise of
-continuous panels and the bootstrap multipliers) takes the inverse-CDF
-transform of open-interval uniforms.  The Gaussian rows of a dependent
-count copula come from ``Generator.standard_normal`` instead, which is
-cheaper and, like every draw here, reads the stream in order: one draw of
-a + b rows equals a draw of a rows followed by one of b.
+functions of the user-facing seed.  Every Gaussian draw (the noise of
+continuous panels, the bootstrap multipliers and the rows of the count
+copula) comes from ``Generator.standard_normal``, which reads the stream
+in order: one draw of a + b rows equals a draw of a rows followed by one
+of b.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
-__all__ = ["mix_seed", "stream", "uniform_open", "normal", "ndtr", "ndtri"]
+__all__ = ["mix_seed", "stream", "ndtr"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -44,17 +43,3 @@ def stream(*parts: int) -> np.random.Generator:
     """Independent generator for the task identified by ``parts``."""
     return np.random.Generator(np.random.Philox(key=mix_seed(*parts)))
 
-
-def uniform_open(gen: np.random.Generator, size=None) -> np.ndarray:
-    """Uniform draws on the open interval (0, 1) at 53-bit resolution.
-
-    Zero is excluded so that log and inverse-CDF transforms never hit an
-    endpoint singularity.
-    """
-    return gen.integers(1, 1 << 53, size=size) / float(1 << 53)
-
-
-def normal(gen: np.random.Generator, size=None, sd: float = 1.0) -> np.ndarray:
-    """Gaussian draws via the inverse CDF of open-interval uniforms."""
-    z = ndtri(uniform_open(gen, size=size))
-    return z if sd == 1.0 else sd * z

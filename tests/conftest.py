@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 import netar as na
 from netar import rng
@@ -38,6 +39,11 @@ def count_panel(small_net):
     return na.simulate_count(spec, small_net, na.CopulaSpec("ar1", 0.5), cfg)
 
 
+def _inverse_cdf_normal(gen, size):
+    # ndtri of 53-bit uniforms on the open interval (0, 1)
+    return ndtri(gen.integers(1, 1 << 53, size=size) / float(1 << 53))
+
+
 @pytest.fixture(scope="session")
 def cont_panel(small_net):
     # A seed-7 stationary panel whose start is drawn as Y_0 = mu + L xi from
@@ -46,14 +52,16 @@ def cont_panel(small_net):
     # and the conditioning tests need these: an ill-conditioned tnar point
     # (cond(E)^2 in [1e9, 1e16]), an stnar point with subnormal scores at
     # g = 3.12875, and a four-term reference within 1e-10 of the exact lm.
+    # Its normals are the inverse CDF of the stream's uniforms, as drawn when
+    # those points were found, not simulate_gaussian's standard_normal.
     spec = na.ModelSpec.linear((1.5, 0.4, 0.5), "cont")
     mu, cov = na.stationary_init_linear_gaussian(spec.beta, small_net, 1.0)
     chol = np.linalg.cholesky(cov + 1e-12 * np.max(np.diag(cov)) * np.eye(small_net.n))
     gen = rng.stream(7, 0x51)
-    y = mu + chol @ rng.normal(gen, small_net.n)
+    y = mu + chol @ _inverse_cdf_normal(gen, small_net.n)
     out = np.empty((small_net.n, 200))
     for t in range(200):
-        y = na.cond_mean(spec, small_net, y) + rng.normal(gen, small_net.n)
+        y = na.cond_mean(spec, small_net, y) + _inverse_cdf_normal(gen, small_net.n)
         out[:, t] = y
     return na.Panel(out)
 
