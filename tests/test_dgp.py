@@ -328,8 +328,6 @@ def test_exchangeable_requires_positive_definite_rho():
 
 
 def _dense_copula_factor(structure, rho, n):
-    if structure == "identity":
-        return np.eye(n)
     idx = np.arange(n)
     lag = np.abs(idx[:, None] - idx[None, :])
     r = rho ** lag if structure == "ar1" else np.where(lag == 0, 1.0, rho)
