@@ -11,14 +11,12 @@ __version__ = "0.1.0"
 
 from .netgraph import (Network, gen_er, gen_sbm, load_edges, network_summary,
                        row_normalize, save_edges)
-from .model import ModelSpec, StabilityVerdict, cond_mean, cond_mean_grad, \
-    parse_spec, stability_check
+from .model import ModelSpec, StabilityVerdict, cond_mean, parse_spec, stability_check
 from .dgp import (CopulaSpec, Panel, SimConfig, copula_poisson_draw,
                   draw_copula_uniform, simulate_count, simulate_gaussian,
                   stationary_init_linear_gaussian)
-from .qmle import (FitResult, ols_fit_linear, poisson_hessian,
-                   poisson_quasi_loglik, poisson_score, qmle_fit, sandwich_cov)
-from .lintest import ScoreTestResult, chi2_sf, lm_test, sigma_correction
+from .qmle import FitResult, ols_fit_linear, qmle_fit, sandwich_cov
+from .lintest import ScoreTestResult, chi2_sf, lm_test
 from .nuisance import (GammaGrid, LMProfile, ProfileTestResult, aggregate,
                        davies_pvalue, default_grid, lm_profile,
                        run_profile_test, score_bootstrap)

@@ -4,12 +4,13 @@ The null linear model is fitted (QMLE for counts, least squares for
 continuous data) and the partial score of the nonlinear coordinates is
 standardized by its covariance Sigma = sum_t e_t e_t', the outer product
 of the effective per-time scores e_t = s_t^(2) - M21 M11^-1 s_t^(1).
-With M the curvature H (count QMLE) this is the quasi-likelihood
-correction of sigma_correction, with M the score outer product B (least
-squares, i.i.d. errors) the Schur complement B22 - B21 B11^-1 B12; no
-large terms are formed, so none cancel.  The statistic is referred to a
-chi-square with as many degrees of freedom as tested coordinates; this
-is unaffected by the tested value sitting on the parameter boundary.
+With M the curvature H (count QMLE) this is the paper's four-term
+correction B22 - A B12 - B21 A' + A B11 A' with A = H21 H11^-1; with M the
+score outer product B (least squares, i.i.d. errors) it is the Schur
+complement B22 - B21 B11^-1 B12.  No large terms are formed, so none
+cancel.  The statistic is referred to a chi-square with as many degrees
+of freedom as tested coordinates; this is unaffected by the tested value
+sitting on the parameter boundary.
 
 The per-time scores and the curvature come from the shared kernel
 qmle._score_parts.  The statistic uses the unprojected partial score
@@ -35,7 +36,6 @@ from .qmle import FitResult, _quasi_parts, lagged_design, ols_fit_linear, qmle_f
 __all__ = [
     "ScoreTestResult",
     "chi2_sf",
-    "sigma_correction",
     "lm_test",
 ]
 
@@ -47,26 +47,6 @@ def chi2_sf(x: float, df: int) -> float:
     if x < 0:
         raise ValueError("statistic must be nonnegative")
     return float(gammaincc(df / 2.0, x / 2.0))
-
-
-def sigma_correction(hess: np.ndarray, opg: np.ndarray, m1: int) -> np.ndarray:
-    """The paper's four-term covariance of the partial score at the constrained fit.
-
-    hess and opg are the full m x m curvature and outer-product matrices
-    with the linear block leading, or equal-shaped stacks of them; m1 is
-    the linear block size.
-    """
-    if hess.shape != opg.shape or hess.shape[-1] != hess.shape[-2]:
-        raise ValueError("hess and opg must be square with equal shapes")
-    if not 0 < m1 < hess.shape[-1]:
-        raise ValueError("linear block size must be interior")
-    h11, h21 = hess[..., :m1, :m1], hess[..., m1:, :m1]
-    b11, b12 = opg[..., :m1, :m1], opg[..., :m1, m1:]
-    b21, b22 = opg[..., m1:, :m1], opg[..., m1:, m1:]
-    a = h21 @ np.linalg.inv(h11)
-    at = np.swapaxes(a, -1, -2)
-    out = b22 - a @ b12 - b21 @ at + a @ b11 @ at
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def _null_design(panel: Panel, net: Network, domain: str):

@@ -31,7 +31,6 @@ __all__ = [
     "ModelSpec",
     "StabilityVerdict",
     "cond_mean",
-    "cond_mean_grad",
     "stability_check",
     "parse_spec",
 ]
@@ -218,13 +217,6 @@ def cond_mean(spec: ModelSpec, net: Network, y_prev: np.ndarray) -> np.ndarray:
     return mean_elementwise(spec, x, y_prev)
 
 
-def cond_mean_grad(spec: ModelSpec, net: Network, y_prev: np.ndarray) -> np.ndarray:
-    """N x n_active Jacobian of the conditional mean, linear block first."""
-    y_prev = _check_prev(spec, net, y_prev)
-    x = net.w @ y_prev
-    return jac_elementwise(spec, x, y_prev).T
-
-
 # stability --------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -238,7 +230,6 @@ class StabilityVerdict:
     condition_value: float
     sufficient_holds: bool
     condition_name: str
-    threshold: float = 1.0
 
 
 def stability_check(spec: ModelSpec, net: Optional[Network] = None) -> StabilityVerdict:

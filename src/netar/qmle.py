@@ -32,10 +32,6 @@ from .netgraph import Network
 __all__ = [
     "FitResult",
     "lagged_design",
-    "poisson_quasi_loglik",
-    "poisson_score",
-    "poisson_hessian",
-    "gaussian_quasi_loglik",
     "ols_fit_linear",
     "qmle_fit",
     "sandwich_cov",
@@ -98,10 +94,6 @@ def lagged_design(panel: Panel, net: Network):
     return v[:, 1:], y_lag, net.w @ y_lag
 
 
-def _spec_at(spec: ModelSpec, theta) -> ModelSpec:
-    return spec if theta is None else spec.with_active(np.asarray(theta, dtype=float))
-
-
 def _score_parts(cols: np.ndarray, weight: np.ndarray, curv=None, second=None):
     """Per-time scores and curvature of a quasi-likelihood.
 
@@ -140,49 +132,6 @@ def _quasi_parts(sp: ModelSpec, y_now, y_lag, x_lag, lam):
 
 def _poisson_loglik(y_now, lam) -> float:
     return float(np.sum(np.where(y_now > 0, y_now * np.log(lam), 0.0) - lam))
-
-
-def _poisson_design(panel: Panel, net: Network, spec: ModelSpec, theta):
-    """(spec at theta, y_now, y_lag, x_lag, lam), checking lam's floor."""
-    if spec.domain != "count":
-        raise ValueError("the working Poisson likelihood needs a count-domain spec")
-    sp = _spec_at(spec, theta)
-    y_now, y_lag, x_lag = lagged_design(panel, net)
-    lam = mean_elementwise(sp, x_lag, y_lag)
-    if lam.min() <= _LAM_FLOOR:
-        raise ValueError("intensity fell below the admissible floor")
-    return sp, y_now, y_lag, x_lag, lam
-
-
-def poisson_quasi_loglik(panel: Panel, net: Network, spec: ModelSpec,
-                         theta=None) -> float:
-    """Working Poisson log-likelihood sum(Y log lam - lam) over usable cells."""
-    if np.any(panel.values < 0):
-        raise ValueError("count panel has negative entries")
-    _, y_now, _, _, lam = _poisson_design(panel, net, spec, theta)
-    return _poisson_loglik(y_now, lam)
-
-
-def poisson_score(panel: Panel, net: Network, spec: ModelSpec, theta=None,
-                  per_time: bool = False):
-    """Gradient sum (Y/lam - 1) dlam/dtheta; per-time rows on request."""
-    s_t, _ = _quasi_parts(*_poisson_design(panel, net, spec, theta))
-    return (s_t.sum(axis=0), s_t) if per_time else s_t.sum(axis=0)
-
-
-def poisson_hessian(panel: Panel, net: Network, spec: ModelSpec,
-                    theta=None) -> np.ndarray:
-    """Observed information: sum (Y/lam^2) dd' - sum (Y/lam - 1) d2lam."""
-    return _quasi_parts(*_poisson_design(panel, net, spec, theta))[1]
-
-
-def gaussian_quasi_loglik(panel: Panel, net: Network, spec: ModelSpec,
-                          theta=None) -> float:
-    """-0.5 * sum of squared residuals, so its gradient is dlam'(Y - lam)."""
-    sp = _spec_at(spec, theta)
-    y_now, y_lag, x_lag = lagged_design(panel, net)
-    resid = y_now - mean_elementwise(sp, x_lag, y_lag)
-    return float(-0.5 * np.sum(resid * resid))
 
 
 def _ridge_solve(mat: np.ndarray, rhs: np.ndarray):

@@ -16,14 +16,13 @@ import pytest
 from scipy import stats
 
 import netar as na
+import reference
 from netar import rng
 from netar.dgp import CopulaSpec, Panel, SimConfig
-from netar.lintest import chi2_sf, sigma_correction
-from netar.model import ModelSpec, cond_mean, cond_mean_grad
+from netar.lintest import chi2_sf
+from netar.model import ModelSpec, cond_mean, mean_elementwise
 from netar.nuisance import GammaGrid, davies_pvalue, lm_profile
-from netar.qmle import (gaussian_quasi_loglik, ols_fit_linear,
-                        poisson_hessian, poisson_quasi_loglik, poisson_score,
-                        qmle_fit)
+from netar.qmle import _quasi_parts, lagged_design, ols_fit_linear, qmle_fit
 from netar.studio import Scenario, StudyConfig, load_panel_csv, run_mc_study
 from netar.netgraph import load_edges
 
@@ -50,24 +49,33 @@ def test_criterion_08_oracle_suite():
     panel = na.simulate_count(spec, net, CopulaSpec("ar1", 0.5),
                               SimConfig(T=120, burn_in=150, seed=802))
 
-    # analytic score and hessian against finite differences, 20 points
+    # the shared kernel's score and hessian against central and mixed second
+    # differences of the reference likelihood, 20 points
+    y_now, y_lag, x_lag = lagged_design(panel, net)
+
+    def kernel_at(sp):
+        return _quasi_parts(sp, y_now, y_lag, x_lag, mean_elementwise(sp, x_lag, y_lag))
+
+    def loglik(theta):
+        return reference.poisson_loglik(panel.values, net.w, theta)
+
     rs = np.random.default_rng(803)
     worst_s = worst_h = 0.0
     for _ in range(20):
         theta = np.array([rs.uniform(0.5, 2.0), rs.uniform(0.05, 0.45),
                           rs.uniform(0.05, 0.45)])
-        s = poisson_score(panel, net, spec, theta=theta)
-        hess = poisson_hessian(panel, net, spec, theta=theta)
-        h = 1e-6
+        s_t, hess = kernel_at(spec.with_active(theta))
+        s = s_t.sum(axis=0)
+        h, h2 = 1e-6, 1e-4
+        step, step2 = h * np.eye(3), h2 * np.eye(3)
         for j in range(3):
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
-            fd_s = (poisson_quasi_loglik(panel, net, spec, theta=tp)
-                    - poisson_quasi_loglik(panel, net, spec, theta=tm)) / (2 * h)
+            fd_s = (loglik(theta + step[j]) - loglik(theta - step[j])) / (2 * h)
             worst_s = max(worst_s, abs(s[j] - fd_s) / (abs(fd_s) + 1e-8))
-            fd_h = (poisson_score(panel, net, spec, theta=tp)
-                    - poisson_score(panel, net, spec, theta=tm)) / (2 * h)
+            fd_h = np.array([(loglik(theta + step2[j] + step2[k])
+                              - loglik(theta + step2[j] - step2[k])
+                              - loglik(theta - step2[j] + step2[k])
+                              + loglik(theta - step2[j] - step2[k])) / (4 * h2 * h2)
+                             for k in range(3)])
             worst_h = max(worst_h, float(np.max(np.abs(hess[j] + fd_h)
                                                 / (np.abs(fd_h) + 1.0))))
     checks.append(("score FD", worst_s < 1e-6, f"{worst_s:.2e}"))
@@ -76,20 +84,18 @@ def test_criterion_08_oracle_suite():
     # OLS closed form against a numerical optimizer (gradient-driven BFGS,
     # an iterative route independent of the normal equations)
     from scipy.optimize import minimize
-    from netar.qmle import lagged_design
     netc = na.gen_sbm(30, 2, seed=804)
     cpanel = na.simulate_gaussian(ModelSpec.linear((1.5, 0.4, 0.5), "cont"),
                                   netc, SimConfig(T=150, seed=805))
     fit = ols_fit_linear(cpanel, netc)
-    lspec = ModelSpec.linear((0.0, 0.0, 0.0), "cont")
-    y_now, y_lag, x_lag = lagged_design(cpanel, netc)
-    design = np.stack([np.ones_like(x_lag), x_lag, y_lag])
+    cy_now, cy_lag, cx_lag = lagged_design(cpanel, netc)
+    design = np.stack([np.ones_like(cx_lag), cx_lag, cy_lag])
 
     def neg_grad(th):
-        resid = y_now - (th[0] + th[1] * x_lag + th[2] * y_lag)
+        resid = cy_now - (th[0] + th[1] * cx_lag + th[2] * cy_lag)
         return -np.einsum("ant,nt->a", design, resid)
 
-    opt = minimize(lambda th: -gaussian_quasi_loglik(cpanel, netc, lspec, theta=th),
+    opt = minimize(lambda th: -reference.lsq_loglik(cpanel.values, netc.w, th),
                    x0=np.array([1.0, 0.3, 0.3]), jac=neg_grad, method="BFGS",
                    options={"gtol": 1e-12})
     gap = float(np.max(np.abs(opt.x - fit.theta_hat)))
@@ -131,21 +137,13 @@ def test_criterion_08_oracle_suite():
         and np.array_equal(cond_mean(ModelSpec.tnar((1.0, 0.3, 0.2), (0, 0, 0), 0.7, "count"), net, y), lin))
     checks.append(("reduction identities", red_ok, "exact"))
 
-    # sigma correction against the naive four-term formula
-    rs2 = np.random.default_rng(812)
-    worst_sig = 0.0
-    for _ in range(10):
-        a = rs2.normal(size=(5, 5))
-        hmat = a @ a.T + 5 * np.eye(5)
-        b_ = rs2.normal(size=(5, 5))
-        bmat = b_ @ b_.T + 5 * np.eye(5)
-        hinv = np.linalg.inv(hmat[:3, :3])
-        naive = (bmat[3:, 3:] - hmat[3:, :3] @ hinv @ bmat[:3, 3:]
-                 - bmat[3:, :3] @ hinv @ hmat[:3, 3:]
-                 + hmat[3:, :3] @ hinv @ bmat[:3, :3] @ hinv @ hmat[:3, 3:])
-        worst_sig = max(worst_sig, float(np.max(np.abs(
-            sigma_correction(hmat, bmat, 3) - naive))))
-    checks.append(("sigma correction naive", worst_sig < 1e-12, f"{worst_sig:.2e}"))
+    # the drift test's score covariance against the reference four-term formula
+    # of the kernel's per-time scores and curvature at the null fit
+    res = na.lm_test(panel, net, ModelSpec.drift((1.0, 0.3, 0.2), 0.0, "count"))
+    s_t, hess = kernel_at(ModelSpec.drift(res.null_fit.theta_hat, 0.0, "count"))
+    four_term = reference.four_term_sigma(hess, s_t.T @ s_t, 3)
+    gap_sig = float(np.max(np.abs(res.sigma_used - four_term)) / np.max(np.abs(four_term)))
+    checks.append(("sigma four-term", gap_sig < 1e-10, f"{gap_sig:.2e}"))
 
     # Davies bound dominates the pointwise tail on 100 random profiles
     rs3 = np.random.default_rng(813)

@@ -5,10 +5,11 @@ import pytest
 
 import netar as na
 from netar.dgp import Panel, SimConfig
-from netar.lintest import _whiten, chi2_sf, lm_test, sigma_correction
+from netar.lintest import _whiten, chi2_sf, lm_test
 from netar.model import ModelSpec, mean_elementwise
 from netar.nuisance import GammaGrid, _tnar_blocks, default_grid, lm_profile
 from netar.qmle import _quasi_parts, _weights, lagged_design
+from reference import four_term_sigma
 
 
 # chi-square tail ----------------------------------------------------------------
@@ -43,42 +44,7 @@ def test_chi2_sf_rejects_bad_arguments():
         chi2_sf(1.0, 0)
 
 
-# covariance correction ----------------------------------------------------------
-
-def test_sigma_correction_two_by_two_example():
-    m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    out = sigma_correction(m, m, 1)
-    assert out.shape == (1, 1)
-    assert out[0, 0] == pytest.approx(1.5)
-
-
-def test_sigma_correction_identity_blocks():
-    eye = np.eye(5)
-    out = sigma_correction(eye, eye, 3)
-    assert np.allclose(out, np.eye(2))
-
-
-def test_sigma_correction_matches_naive_formula(rs):
-    for _ in range(10):
-        a = rs.normal(size=(5, 5))
-        h = a @ a.T + 5 * np.eye(5)
-        b_ = rs.normal(size=(5, 5))
-        b = b_ @ b_.T + 5 * np.eye(5)
-        m1 = 3
-        h11, h12, h21 = h[:m1, :m1], h[:m1, m1:], h[m1:, :m1]
-        b11, b12, b21, b22 = b[:m1, :m1], b[:m1, m1:], b[m1:, :m1], b[m1:, m1:]
-        hinv = np.linalg.inv(h11)
-        naive = (b22 - h21 @ hinv @ b12 - b21 @ hinv @ h12
-                 + h21 @ hinv @ b11 @ hinv @ h12)
-        assert np.allclose(sigma_correction(h, b, m1), naive, atol=1e-12)
-
-
-def test_sigma_correction_with_b_equal_h_is_schur_complement(rs):
-    a = rs.normal(size=(6, 6))
-    h = a @ a.T + 6 * np.eye(6)
-    schur = h[3:, 3:] - h[3:, :3] @ np.linalg.solve(h[:3, :3], h[:3, 3:])
-    assert np.allclose(sigma_correction(h, h, 3), schur, atol=1e-10)
-
+# whitening ----------------------------------------------------------------------
 
 def test_whiten_rank_rule_handles_rank_deficiency():
     # an eigenvalue s^2 of E'E counts when above 1e-12 times the largest
@@ -158,7 +124,7 @@ def test_count_hessian_cross_term_present(small_net, count_panel):
     jac = np.stack([np.ones_like(x_lag), x_lag, y_lag, -beta[0] * np.log1p(x_lag)])
     hess_first = np.einsum("ant,nt,bnt->ab", jac, y_now / lam ** 2, jac)
     s_t = np.einsum("ant,nt->ta", jac, y_now / lam - 1.0)
-    sigma_no_curv = sigma_correction(hess_first, s_t.T @ s_t, 3)
+    sigma_no_curv = four_term_sigma(hess_first, s_t.T @ s_t, 3)
     assert res.sigma_used[0, 0] != pytest.approx(sigma_no_curv[0, 0], rel=1e-12)
 
 
@@ -194,7 +160,7 @@ def test_forcing_b_equal_h_recovers_classical_score_test(small_net, count_panel)
     s2 = float(np.einsum("nt,nt->", jac[3], resid))
     schur = hess[3:, 3:] - hess[3:, :3] @ np.linalg.solve(hess[:3, :3], hess[:3, 3:])
     classical = s2 ** 2 / schur[0, 0]
-    forced = s2 ** 2 / sigma_correction(hess, hess, 3)[0, 0]
+    forced = s2 ** 2 / four_term_sigma(hess, hess, 3)[0, 0]
     assert forced == pytest.approx(classical, abs=1e-10)
 
 
@@ -212,7 +178,7 @@ def _drift_parts(panel, net, domain):
 
 def test_lm_test_sigma_is_the_four_term_correction(small_net, count_panel, cont_panel):
     res, s_t, hess = _drift_parts(count_panel, small_net, "count")
-    four_term = sigma_correction(hess, s_t.T @ s_t, 3)
+    four_term = four_term_sigma(hess, s_t.T @ s_t, 3)
     assert res.sigma_used == pytest.approx(four_term, rel=1e-10)
     # least squares projects through B itself: Sigma is B's Schur complement.  The
     # drift column -b0 log(1 + |X|) is nearly the intercept here, so the four-term
@@ -220,7 +186,7 @@ def test_lm_test_sigma_is_the_four_term_correction(small_net, count_panel, cont_
     # below checks this Sigma tightly
     res, s_t, _ = _drift_parts(cont_panel, small_net, "cont")
     opg = s_t.T @ s_t
-    assert res.sigma_used == pytest.approx(sigma_correction(opg, opg, 3), rel=1e-8)
+    assert res.sigma_used == pytest.approx(four_term_sigma(opg, opg, 3), rel=1e-8)
 
 
 def _solve_ld(a, b):

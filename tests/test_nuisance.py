@@ -8,12 +8,13 @@ import pytest
 
 import netar as na
 from netar.dgp import Panel, SimConfig
-from netar.lintest import chi2_sf, sigma_correction
+from netar.lintest import chi2_sf
 from netar.model import ModelSpec, _h_columns, mean_elementwise
 from netar.nuisance import (GammaGrid, LMProfile, _tnar_blocks, aggregate,
                             davies_pvalue, default_grid, lm_profile, run_profile_test,
                             score_bootstrap)
 from netar.qmle import _score_parts, _weights, lagged_design
+from reference import four_term_sigma
 
 
 def _profile_from(lm_values, k2=1, family="stnar"):
@@ -108,7 +109,7 @@ def _per_point_profile(panel, net, family, grid, domain, null_fit):
             continue
         s_t, hess = _score_parts(np.stack([np.ones_like(x_lag), x_lag, y_lag, *cols]),
                                  resid, curf)
-        sigma = sigma_correction(hess, s_t.T @ s_t, 3)
+        sigma = four_term_sigma(hess, s_t.T @ s_t, 3)
         vals = np.linalg.eigvalsh(sigma)
         if np.sum(vals > max(1e-12 * vals.max(), np.finfo(float).tiny)) < len(cols):
             dropped.append((float(g), "singular score covariance"))
@@ -205,7 +206,7 @@ def test_profile_sigma_is_the_four_term_correction(small_net, family, fixture, r
         s_t, hess = _score_parts(np.stack([np.ones_like(x_lag), x_lag, y_lag, *cols]),
                                  resid, curf)
         effective = s_t[:, 3:] - s_t[:, :3] @ np.linalg.solve(hess[:3, :3], hess[:3, 3:])
-        _assert_whitens(u, effective, sigma_correction(hess, s_t.T @ s_t, 3), rs)
+        _assert_whitens(u, effective, four_term_sigma(hess, s_t.T @ s_t, 3), rs)
 
 
 def test_subnormal_score_covariance_dropped(small_net, cont_panel):
@@ -252,7 +253,7 @@ def test_effective_score_outer_product_matches_sigma(small_net, cont_panel, rs):
         hess = np.einsum("ant,bnt->ab", z, z)
         effective = s_t[:, 3:] - s_t[:, :3] @ np.linalg.solve(hess[:3, :3], hess[:3, 3:])
         _assert_whitens(prof.whitened[k], effective,
-                        sigma_correction(hess, s_t.T @ s_t, 3), rs)
+                        four_term_sigma(hess, s_t.T @ s_t, 3), rs)
 
 
 def _exact_lm(effective):

@@ -3,10 +3,10 @@ import pytest
 from scipy.optimize import minimize
 
 import netar as na
+import reference
 from netar.dgp import Panel, SimConfig
-from netar.model import ModelSpec
-from netar.qmle import (gaussian_quasi_loglik, lagged_design, ols_fit_linear,
-                        poisson_hessian, poisson_quasi_loglik, poisson_score,
+from netar.model import ModelSpec, mean_elementwise
+from netar.qmle import (_poisson_loglik, _quasi_parts, lagged_design, ols_fit_linear,
                         qmle_fit, sandwich_cov)
 
 
@@ -19,77 +19,93 @@ def _random_count_panel(net, rs, t=12):
     return Panel(vals)
 
 
+def _kernel_at(panel, net, spec, theta=None):
+    """The program's per-time scores and curvature (qmle._quasi_parts) at theta."""
+    sp = spec if theta is None else spec.with_active(theta)
+    y_now, y_lag, x_lag = lagged_design(panel, net)
+    return _quasi_parts(sp, y_now, y_lag, x_lag, mean_elementwise(sp, x_lag, y_lag))
+
+
 # quasi-log-likelihood -----------------------------------------------------------
 
 def test_single_cell_contributions():
     # one usable transition on one live node; the other node is silenced by
     # comparing against the model that predicts it exactly
     net = _two_node_net()
-    spec = ModelSpec.linear((2.0, 0.0, 0.0), "count")
-    panel = Panel(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    panel = np.array([[1.0, 0.0], [1.0, 0.0]])
     # Y=0, lam=2 per node: contribution -2 each
-    assert poisson_quasi_loglik(panel, net, spec) == pytest.approx(-4.0)
-    panel3 = Panel(np.array([[1.0, 3.0], [1.0, 3.0]]))
-    spec1 = ModelSpec.linear((1.0, 0.0, 0.0), "count")
+    assert _poisson_loglik(panel[:, 1:], np.full((2, 1), 2.0)) == pytest.approx(-4.0)
+    assert reference.poisson_loglik(panel, net.w, (2.0, 0.0, 0.0)) == pytest.approx(-4.0)
+    panel3 = np.array([[1.0, 3.0], [1.0, 3.0]])
     # Y=3, lam=1: contribution 3*log(1) - 1 = -1 each
-    assert poisson_quasi_loglik(panel3, net, spec1) == pytest.approx(-2.0)
+    assert _poisson_loglik(panel3[:, 1:], np.ones((2, 1))) == pytest.approx(-2.0)
+    assert reference.poisson_loglik(panel3, net.w, (1.0, 0.0, 0.0)) == pytest.approx(-2.0)
 
 
 def test_loglik_matches_naive_double_loop(rs):
     net = na.gen_er(5, 0.5, seed=1)
     panel = _random_count_panel(net, rs, t=10)
-    spec = ModelSpec.linear((0.8, 0.25, 0.3), "count")
-    fast = poisson_quasi_loglik(panel, net, spec)
+    fit = qmle_fit(panel, net, ModelSpec.linear((0.8, 0.25, 0.3), "count"))
+    b0, b1, b2 = fit.theta_hat
     w = net.w.toarray()
     slow = 0.0
     for t in range(1, panel.t):
         for i in range(net.n):
             x = w[i] @ panel.values[:, t - 1]
-            lam = 0.8 + 0.25 * x + 0.3 * panel.values[i, t - 1]
+            lam = b0 + b1 * x + b2 * panel.values[i, t - 1]
             y = panel.values[i, t]
             slow += (y * np.log(lam) if y > 0 else 0.0) - lam
-    assert fast == pytest.approx(slow, abs=1e-12)
+    assert fit.loglik == pytest.approx(slow, abs=1e-12)
+    assert reference.poisson_loglik(panel.values, w, fit.theta_hat) == pytest.approx(
+        slow, abs=1e-12)
 
 
 def test_score_matches_finite_differences(small_net, count_panel):
+    # the program's score against central differences of the reference likelihood
     spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
     rs = np.random.default_rng(3)
     for _ in range(20):
         theta = rs.uniform(0.05, 0.45, 3)
         theta[0] = rs.uniform(0.5, 2.0)
-        s = poisson_score(count_panel, small_net, spec, theta=theta)
+        s = _kernel_at(count_panel, small_net, spec, theta)[0].sum(axis=0)
         h = 1e-6
         for j in range(3):
             tp, tm = theta.copy(), theta.copy()
             tp[j] += h
             tm[j] -= h
-            fd = (poisson_quasi_loglik(count_panel, small_net, spec, theta=tp)
-                  - poisson_quasi_loglik(count_panel, small_net, spec, theta=tm)) / (2 * h)
+            fd = (reference.poisson_loglik(count_panel.values, small_net.w, tp)
+                  - reference.poisson_loglik(count_panel.values, small_net.w, tm)) / (2 * h)
             assert abs(s[j] - fd) / (abs(fd) + 1e-8) < 1e-6
 
 
 def test_hessian_matches_score_differences(small_net, count_panel):
-    # includes the drift family, whose mean has curvature
+    # includes the drift family, whose mean has curvature.  The score is the
+    # reference likelihood's central difference, so its central difference is
+    # the mixed second difference of the likelihood
     rs = np.random.default_rng(4)
+
+    def loglik(theta):
+        return reference.poisson_loglik(count_panel.values, small_net.w, theta)
+
     for spec in (ModelSpec.linear((1.0, 0.3, 0.2), "count"),
                  ModelSpec.drift((1.0, 0.3, 0.2), 0.4, "count")):
         theta = spec.active_theta() * rs.uniform(0.9, 1.1, spec.n_active)
-        hess = poisson_hessian(count_panel, small_net, spec, theta=theta)
+        hess = _kernel_at(count_panel, small_net, spec, theta)[1]
         assert np.allclose(hess, hess.T, atol=1e-12)
-        h = 1e-6
+        h = 1e-4
+        step = h * np.eye(theta.size)
         for j in range(theta.size):
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
-            fd = (poisson_score(count_panel, small_net, spec, theta=tp)
-                  - poisson_score(count_panel, small_net, spec, theta=tm)) / (2 * h)
+            fd = np.array([(loglik(theta + step[j] + step[k]) - loglik(theta + step[j] - step[k])
+                            - loglik(theta - step[j] + step[k])
+                            + loglik(theta - step[j] - step[k])) / (4 * h * h)
+                           for k in range(theta.size)])
             # H is minus the loglik curvature
             assert np.max(np.abs(hess[j] + fd) / (np.abs(fd) + 1.0)) < 1e-5
 
 
 def test_hessian_linear_family_is_psd(small_net, count_panel):
     spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
-    hess = poisson_hessian(count_panel, small_net, spec)
+    hess = _kernel_at(count_panel, small_net, spec)[1]
     assert np.linalg.eigvalsh(hess).min() >= -1e-10
 
 
@@ -109,10 +125,9 @@ def test_ols_recovers_noise_free_panel_exactly(small_net):
 
 def test_ols_equals_numerical_minimizer(small_net, cont_panel):
     fit = ols_fit_linear(cont_panel, small_net)
-    spec = ModelSpec.linear((0.0, 0.0, 0.0), "cont")
 
     def neg(theta):
-        return -gaussian_quasi_loglik(cont_panel, small_net, spec, theta=theta)
+        return -reference.lsq_loglik(cont_panel.values, small_net.w, theta)
 
     # forward differences leave a gradient error near 1e-5 on this sum of
     # squares, which stops BFGS about 1e-6 short of the minimum; central
@@ -147,8 +162,7 @@ def test_ols_rejects_rank_deficiency():
 def test_opg_matches_naive_per_time_loop(small_net, count_panel):
     spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
     theta = np.array([0.9, 0.25, 0.25])
-    total, s_t = poisson_score(count_panel, small_net, spec, theta=theta,
-                               per_time=True)
+    s_t = _kernel_at(count_panel, small_net, spec, theta)[0]
     naive = np.zeros((3, 3))
     w = small_net.w.toarray()
     for t in range(1, count_panel.t):
@@ -160,9 +174,7 @@ def test_opg_matches_naive_per_time_loop(small_net, count_panel):
             r = count_panel.values[i, t] / lam - 1.0
             s += r * np.array([1.0, x, y_prev])
         naive += np.outer(s, s)
-    opg = s_t.T @ s_t
-    assert np.allclose(opg, naive, rtol=1e-12)
-    assert np.allclose(total, s_t.sum(axis=0), rtol=1e-12)
+    assert np.allclose(s_t.T @ s_t, naive, rtol=1e-12)
 
 
 def test_sandwich_scalar_case():
@@ -212,14 +224,18 @@ def test_qmle_from_truth_on_tiny_panel_converges(small_net):
 @pytest.mark.parametrize("structure, rho", [("identity", 0.0), ("ar1", 0.5), ("exch", 0.3)])
 def test_qmle_parts_equal_the_shared_kernel_at_theta_hat(n, structure, rho):
     # the linear fit writes its weights into reused buffers; they must give
-    # exactly poisson_hessian's curvature and poisson_score's score
+    # exactly the shared kernel's curvature and score, and its likelihood is
+    # the reference one
     net = na.gen_sbm(n, 2, seed=31)
     spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
     panel = na.simulate_count(spec, net, na.CopulaSpec(structure, rho),
                               SimConfig(T=120, burn_in=100, seed=32))
     fit = qmle_fit(panel, net, spec)
-    assert np.array_equal(fit.hessian, poisson_hessian(panel, net, spec, fit.theta_hat))
-    assert np.array_equal(fit.score_at_opt, poisson_score(panel, net, spec, fit.theta_hat))
+    s_t, hess = _kernel_at(panel, net, spec, fit.theta_hat)
+    assert np.array_equal(fit.hessian, hess)
+    assert np.array_equal(fit.score_at_opt, s_t.sum(axis=0))
+    assert fit.loglik == pytest.approx(
+        reference.poisson_loglik(panel.values, net.w, fit.theta_hat), rel=1e-14)
 
 
 def test_qmle_permutation_invariance(small_net, count_panel, rs):
