@@ -18,3 +18,17 @@ def test_import_loads_only_the_sparse_and_special_scipy_subpackages():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout
     assert set(json.loads(out)) <= {"scipy.sparse", "scipy.special"}
+
+
+def test_benchmark_finds_every_name_it_imports_or_traces():
+    # perfbench imports these names and rebinds the traced ones; a name
+    # deleted from netar would otherwise fail only the benchmark runs
+    root = Path(__file__).resolve().parents[1]
+    code = ("import importlib, checks, spans\n"
+            "for mod, attr, *_ in spans.TARGETS:\n"
+            "    getattr(importlib.import_module(mod), attr)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
