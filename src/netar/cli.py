@@ -33,6 +33,7 @@ from .studio import (StudyConfig, _parse_grid, emit_report, load_panel_csv,
                      run_mc_study, save_panel_csv, write_raw_draws)
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_COPULA_FORMS = "indep | gaussian-ar1:RHO | gaussian-exch:RHO"
 
 
 def _domain(family: str) -> str:
@@ -44,13 +45,17 @@ def _parse_theta(text: str):
 
 
 def _parse_copula(text: str) -> CopulaSpec:
-    if text in ("indep", "independent", "identity"):
+    if text == "indep":
         return CopulaSpec("identity")
     name, _, rho = text.partition(":")
     structure = {"gaussian-ar1": "ar1", "gaussian-exch": "exch"}.get(name)
+    try:
+        rho = float(rho)
+    except ValueError:
+        structure = None
     if structure is None:
-        raise ValueError(f"unknown copula {text!r}")
-    return CopulaSpec(structure, float(rho))
+        raise ValueError(f"unknown copula {text!r}; expected {_COPULA_FORMS}")
+    return CopulaSpec(structure, rho)
 
 
 def _write_json(payload: dict, path) -> None:
@@ -163,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--net", required=True)
     p_sim.add_argument("--T", type=int, required=True)
     p_sim.add_argument("--burn-in", type=int, default=300, dest="burn_in")
-    p_sim.add_argument("--copula", default="indep",
-                       help="indep | gaussian-ar1:RHO | gaussian-exch:RHO")
+    p_sim.add_argument("--copula", default="indep", help=_COPULA_FORMS)
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("-o", "--out", required=True)

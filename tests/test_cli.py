@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -122,3 +123,14 @@ def test_cli_version_and_bad_args(capsys):
     with pytest.raises(SystemExit):
         main(["test", "score", "--family", "pnar", "--alt", "stnar",
               "--net", "x", "--panel", "y", "-o", "z"])
+
+
+@pytest.mark.parametrize("copula", ["independent", "identity", "gaussian-ar1",
+                                    "gaussian-ar1:x", "gaussian-exch:"])
+def test_cli_rejects_copula_outside_the_documented_forms(tmp_path, copula):
+    net_file = tmp_path / "net.txt"
+    net_file.write_text("0 1\n1 0\n")
+    with pytest.raises(ValueError, match=re.escape("indep | gaussian-ar1:RHO | "
+                                                   "gaussian-exch:RHO")):
+        main(["sim", "--family", "pnar", "--theta", "1.0,0.3,0.2", "--net", str(net_file),
+              "--T", "5", "--copula", copula, "--seed", "1", "-o", str(tmp_path / "p.csv")])
