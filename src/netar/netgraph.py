@@ -153,7 +153,7 @@ def load_edges(path) -> Network:
     edges = []
     n = None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -162,8 +162,12 @@ def load_edges(path) -> Network:
                 if len(tok) == 2 and tok[0].lower() == "nodes":
                     n = int(tok[1])
                 continue
-            i, j = line.split()
-            edges.append((int(i), int(j)))
+            try:
+                i, j = map(int, line.split())
+            except ValueError:
+                raise ValueError(f"{path}, line {lineno}: expected two node indices, "
+                                 f"got {line!r}") from None
+            edges.append((i, j))
     if n is None:
         if not edges:
             raise ValueError(f"{path}: empty edge list and no '# nodes N' header")

@@ -273,12 +273,18 @@ def load_panel_csv(path, domain: str = "cont") -> Panel:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = [[float(cell) for cell in row] for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            try:
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            if len(row) != len(header):
+                raise ValueError(f"{path}, line {reader.line_num}: {len(row)} cells, "
+                                 f"header has {len(header)}")
     values = np.asarray(rows, dtype=float).T
     if values.size == 0:
         raise ValueError(f"{path}: no observations")
-    if len(header) != values.shape[0]:
-        raise ValueError(f"{path}: header width does not match data width")
     panel = Panel(values, node_labels=list(header))
     if domain == "count" and not panel.is_count():
         raise ValueError(f"{path}: count panel has negative or non-integer cells")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,12 @@ def test_edge_file_comments_and_node_header(tmp_path):
         net = load_edges(path)
     assert net.n == 5
     assert net.n_edges == 2
+
+
+@pytest.mark.parametrize("bad", ["1 2 3", "1 x", "1"])
+def test_edge_file_bad_line_names_file_and_line(tmp_path, bad):
+    path = tmp_path / "net.txt"
+    path.write_text(f"# nodes 4\n0 1\n{bad}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: expected two node "
+                                                   f"indices, got {bad!r}")):
+        load_edges(path)

@@ -279,7 +279,18 @@ def test_panel_csv_rejects_noninteger_counts(tmp_path):
 def test_panel_csv_shape_validation(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: 2 cells, header has 3")):
+        load_panel_csv(path)
+
+
+@pytest.mark.parametrize("body, match", [
+    ("1,2,3\n1,2\n", "2 cells, header has 3"),
+    ("1,2,3\n1,x,3\n", "could not convert string to float: 'x'"),
+], ids=["ragged-row", "non-numeric-cell"])
+def test_panel_csv_bad_row_names_file_and_line(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b,c\n" + body)
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: {match}")):
         load_panel_csv(path)
 
 
