@@ -272,7 +272,7 @@ def load_panel_csv(path, domain: str = "cont") -> Panel:
     """Read a panel CSV: header of node labels, one row per time step."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = []
         for row in filter(None, reader):
             try:

@@ -281,6 +281,10 @@ def test_panel_csv_shape_validation(tmp_path):
     path.write_text("a,b,c\n1,2\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: 2 cells, header has 3")):
         load_panel_csv(path)
+    for text in ("", "a,b,c\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="no observations"):
+            load_panel_csv(path)
 
 
 @pytest.mark.parametrize("body, match", [
