@@ -157,15 +157,15 @@ def load_edges(path) -> Network:
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                tok = line[1:].split()
-                if len(tok) == 2 and tok[0].lower() == "nodes":
-                    n = int(tok[1])
-                continue
             try:
+                if line.startswith("#"):
+                    tok = line[1:].split()
+                    if len(tok) == 2 and tok[0].lower() == "nodes":
+                        n = int(tok[1])
+                    continue
                 i, j = map(int, line.split())
             except ValueError:
-                raise ValueError(f"{path}, line {lineno}: expected two node indices, "
+                raise ValueError(f"{path}, line {lineno}: expected 'i j' or '# nodes N', "
                                  f"got {line!r}") from None
             edges.append((i, j))
     if n is None:

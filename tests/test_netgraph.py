@@ -155,10 +155,10 @@ def test_edge_file_comments_and_node_header(tmp_path):
     assert net.n_edges == 2
 
 
-@pytest.mark.parametrize("bad", ["1 2 3", "1 x", "1"])
+@pytest.mark.parametrize("bad", ["1 2 3", "1 x", "1", "# nodes x"])
 def test_edge_file_bad_line_names_file_and_line(tmp_path, bad):
     path = tmp_path / "net.txt"
     path.write_text(f"# nodes 4\n0 1\n{bad}\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: expected two node "
-                                                   f"indices, got {bad!r}")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: expected 'i j' or "
+                                                   f"'# nodes N', got {bad!r}")):
         load_edges(path)
