@@ -143,7 +143,7 @@ def test_criterion_08_oracle_suite():
     s_t, hess = kernel_at(ModelSpec.drift(res.null_fit.theta_hat, 0.0, "count"))
     four_term = reference.four_term_sigma(hess, s_t.T @ s_t, 3)
     gap_sig = float(np.max(np.abs(res.sigma_used - four_term)) / np.max(np.abs(four_term)))
-    checks.append(("sigma four-term", gap_sig < 1e-10, f"{gap_sig:.2e}"))
+    checks.append(("sigma four-term", gap_sig < 1e-12, f"{gap_sig:.2e}"))
 
     # Davies bound dominates the pointwise tail on 100 random profiles
     rs3 = np.random.default_rng(813)
