@@ -14,11 +14,6 @@ def _two_node_net():
     return na.row_normalize([(0, 1), (1, 0)], 2)
 
 
-def _random_count_panel(net, rs, t=12):
-    vals = rs.poisson(2.0, size=(net.n, t)).astype(float)
-    return Panel(vals)
-
-
 def _kernel_at(panel, net, spec, theta=None):
     """The program's per-time scores and curvature (qmle._quasi_parts) at theta."""
     sp = spec if theta is None else spec.with_active(theta)
@@ -42,10 +37,13 @@ def test_single_cell_contributions():
     assert reference.poisson_loglik(panel3, net.w, (1.0, 0.0, 0.0)) == pytest.approx(-2.0)
 
 
-def test_loglik_matches_naive_double_loop(rs):
+def test_loglik_matches_naive_double_loop():
     net = na.gen_er(5, 0.5, seed=1)
-    panel = _random_count_panel(net, rs, t=10)
-    fit = qmle_fit(panel, net, ModelSpec.linear((0.8, 0.25, 0.3), "count"))
+    spec = ModelSpec.linear((0.8, 0.25, 0.3), "count")
+    panel = na.simulate_count(spec, net, na.CopulaSpec("identity"),
+                              SimConfig(T=40, burn_in=50, seed=1))
+    fit = qmle_fit(panel, net, spec)
+    assert fit.converged
     b0, b1, b2 = fit.theta_hat
     w = net.w.toarray()
     slow = 0.0
