@@ -48,3 +48,13 @@ def four_term_sigma(hess, opg, m1):
     a = hess[m1:, :m1] @ np.linalg.inv(hess[:m1, :m1])
     return (opg[m1:, m1:] - a @ opg[:m1, m1:] - opg[m1:, :m1] @ a.T
             + a @ opg[:m1, :m1] @ a.T)
+
+
+def second_differences(f, theta, h):
+    """Mixed central second differences of f at theta, the matrix with entries
+    (f(+j+k) - f(+j-k) - f(-j+k) + f(-j-k)) / 4h^2, where +j is a step h in
+    coordinate j.  For f a log-likelihood this is the central difference of
+    its central-difference gradient."""
+    steps = h * np.eye(len(theta))
+    return np.array([[(f(theta + sj + sk) - f(theta + sj - sk) - f(theta - sj + sk)
+                       + f(theta - sj - sk)) / (4 * h * h) for sk in steps] for sj in steps])

@@ -66,18 +66,13 @@ def test_criterion_08_oracle_suite():
                           rs.uniform(0.05, 0.45)])
         s_t, hess = kernel_at(spec.with_active(theta))
         s = s_t.sum(axis=0)
-        h, h2 = 1e-6, 1e-4
-        step, step2 = h * np.eye(3), h2 * np.eye(3)
+        h = 1e-6
         for j in range(3):
-            fd_s = (loglik(theta + step[j]) - loglik(theta - step[j])) / (2 * h)
+            step = h * np.eye(3)[j]
+            fd_s = (loglik(theta + step) - loglik(theta - step)) / (2 * h)
             worst_s = max(worst_s, abs(s[j] - fd_s) / (abs(fd_s) + 1e-8))
-            fd_h = np.array([(loglik(theta + step2[j] + step2[k])
-                              - loglik(theta + step2[j] - step2[k])
-                              - loglik(theta - step2[j] + step2[k])
-                              + loglik(theta - step2[j] - step2[k])) / (4 * h2 * h2)
-                             for k in range(3)])
-            worst_h = max(worst_h, float(np.max(np.abs(hess[j] + fd_h)
-                                                / (np.abs(fd_h) + 1.0))))
+        fd_h = reference.second_differences(loglik, theta, 1e-4)
+        worst_h = max(worst_h, float(np.max(np.abs(hess + fd_h) / (np.abs(fd_h) + 1.0))))
     checks.append(("score FD", worst_s < 1e-6, f"{worst_s:.2e}"))
     checks.append(("hessian FD", worst_h < 1e-5, f"{worst_h:.2e}"))
 

@@ -77,9 +77,8 @@ def test_score_matches_finite_differences(small_net, count_panel):
 
 
 def test_hessian_matches_score_differences(small_net, count_panel):
-    # includes the drift family, whose mean has curvature.  The score is the
-    # reference likelihood's central difference, so its central difference is
-    # the mixed second difference of the likelihood
+    # includes the drift family, whose mean has curvature; the differenced
+    # score is the reference likelihood's central difference
     rs = np.random.default_rng(4)
 
     def loglik(theta):
@@ -90,15 +89,9 @@ def test_hessian_matches_score_differences(small_net, count_panel):
         theta = spec.active_theta() * rs.uniform(0.9, 1.1, spec.n_active)
         hess = _kernel_at(count_panel, small_net, spec, theta)[1]
         assert np.allclose(hess, hess.T, atol=1e-12)
-        h = 1e-4
-        step = h * np.eye(theta.size)
-        for j in range(theta.size):
-            fd = np.array([(loglik(theta + step[j] + step[k]) - loglik(theta + step[j] - step[k])
-                            - loglik(theta - step[j] + step[k])
-                            + loglik(theta - step[j] - step[k])) / (4 * h * h)
-                           for k in range(theta.size)])
-            # H is minus the loglik curvature
-            assert np.max(np.abs(hess[j] + fd) / (np.abs(fd) + 1.0)) < 1e-5
+        fd = reference.second_differences(loglik, theta, 1e-4)
+        # H is minus the loglik curvature
+        assert np.max(np.abs(hess + fd) / (np.abs(fd) + 1.0)) < 1e-5
 
 
 def test_hessian_linear_family_is_psd(small_net, count_panel):
