@@ -13,9 +13,14 @@ arrivals falling in [0, lam_i], so the copula induces cross-sectional
 dependence while every marginal stays Poisson.  The copula's Cholesky
 factor is applied to each event row in O(N) from its closed form (see
 _apply_copula_factor); no N x N matrix is formed and nothing is cached.
-Event rows are drawn only until every node's arrival time has passed its
-own lam_i, in chunks whose first size follows lam_max; the rows are read
-off the stream in order, so the chunk sizes never change the counts.
+Each step takes event rows only until every node's arrival time has passed
+its own lam_i, in chunks whose first size follows lam_max.  A panel reads
+those rows off its stream in blocks of about _EVENT_BLOCK cells (one
+copula draw and one log per block, see _EventRows) and hands each step its
+chunks in order.  The rows are read off the stream in order, so neither
+chunk nor block sizes change the counts: every step consumes the rows a
+public copula_poisson_draw would, and a panel draws less than one block
+more rows than it consumes.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ STRUCTURES = ("identity", "ar1", "exch")
 INIT_MODES = {"cont": ("default", "stationary", "linear-stationary"), "count": ("default",)}
 _TAIL_TOL = 1e-10  # bound on the stationary series' omitted tail, relative to sigma^2
 _NOISE_ROWS = 1024  # time steps per noise draw; blocks consume the stream in order
+_EVENT_BLOCK = 1 << 16  # event rows x nodes per block of a panel's count draws (512 KiB)
 _EVENT_ELEMENTS = 1 << 25  # event rows x nodes one count draw may take (256 MiB as float64)
 
 
@@ -319,8 +325,33 @@ def _event_cap(lam_max: float, n: int) -> int:
     return min(int(10.0 * (lam_max + 10.0 * np.sqrt(lam_max) + 50.0)), _EVENT_ELEMENTS // n)
 
 
+class _EventRows:
+    """log U event rows of a dependent copula, read off gen in order.
+
+    Rows are drawn in blocks of at least ``block`` rows (one
+    draw_copula_uniform call and one log each) and handed out by take() in
+    order, so the rows a caller takes do not depend on the block size.
+    block=0 draws exactly the rows each take asks for.
+    """
+
+    def __init__(self, cop: CopulaSpec, n: int, gen: np.random.Generator, block: int):
+        self.cop, self.n, self.gen, self.block = cop, n, gen, block
+        self.buf, self.pos = np.empty((0, n)), 0
+
+    def take(self, k: int) -> np.ndarray:
+        """The next k rows as a k x n array the caller may overwrite."""
+        left = self.buf.shape[0] - self.pos
+        if k <= left:
+            self.pos += k
+            return self.buf[self.pos - k:self.pos]
+        head = self.buf[self.pos:]
+        buf = draw_copula_uniform(self.cop, self.n, self.gen, rows=max(self.block, k - left))
+        self.buf, self.pos = np.log(buf, out=buf), k - left
+        return np.concatenate((head, buf[:k - left])) if left else buf[:k]
+
+
 def copula_poisson_draw(lam: np.ndarray, cop: CopulaSpec,
-                        gen: np.random.Generator) -> np.ndarray:
+                        gen: Union[np.random.Generator, _EventRows]) -> np.ndarray:
     """Joint count draw with exact Poisson(lam_i) marginals, as int64.
 
     An independent copula draws gen.poisson(lam) directly.  A dependent
@@ -330,28 +361,32 @@ def copula_poisson_draw(lam: np.ndarray, cop: CopulaSpec,
     Node i's count is settled once S_il > lam_i, so the draw stops when that
     holds at every node.  Events come in chunks: the first of
     lam_max + 3 sqrt(lam_max) + 3 rows, each later one twice the last.  Each
-    chunk is one buffer holding U, then log U, then -S (the running sum
-    carried over from the last chunk), compared with -lam in place.  The
-    rows are read off the stream in order, so the counts do not depend on
-    the chunk sizes, and two dependent-copula draws from the same stream
-    state read the same event rows: raising any lam_i can only raise Y_i.
+    chunk is one buffer holding log U, then -S (the running sum carried
+    over from the last chunk), compared with -lam in place.  Drawn from a
+    Generator, the chunks are exactly the rows taken from it;
+    simulate_count passes its panel's block source instead (see
+    _EventRows), which hands out the same rows.  The rows are read off the
+    stream in order, so the counts do not depend on the chunk or block
+    sizes, and two dependent-copula draws from the same stream state read
+    the same event rows: raising any lam_i can only raise Y_i.
     """
     lam = np.asarray(lam, dtype=float)
-    if not np.all(np.isfinite(lam)) or np.any(lam < 0):
+    lam_min, lam_max = lam.min(initial=np.inf), lam.max(initial=0.0)
+    if not (lam_min >= 0.0 and lam_max < np.inf):  # NaN fails both
         raise ValueError("intensities must be finite and nonnegative")
     if cop.is_independent:
         try:
             return gen.poisson(lam)
         except ValueError as exc:  # lam above numpy's limit, about 9.2e18
             raise RuntimeError(
-                f"intensity {lam.max():.3g} exceeds the Poisson sampler's limit; "
+                f"intensity {lam_max:.3g} exceeds the Poisson sampler's limit; "
                 "intensities look explosive") from exc
     n = lam.shape[0]
-    lam_max = float(lam.max(initial=0.0))
     counts = np.zeros(n, dtype=np.int64)
     if lam_max == 0.0:
         return counts
 
+    rows = gen if isinstance(gen, _EventRows) else _EventRows(cop, n, gen, 0)
     cap = _event_cap(lam_max, n)
     neg_lam, neg_s = -lam, np.zeros(n)  # -S after the rows drawn so far
     chunk, drawn = int(lam_max + 3.0 * np.sqrt(lam_max)) + 3, 0
@@ -360,13 +395,12 @@ def copula_poisson_draw(lam: np.ndarray, cop: CopulaSpec,
             raise RuntimeError(
                 f"a draw at intensity {lam_max:.3g} would pass {cap} event rows of "
                 f"{n} nodes; intensities look explosive")
-        buf = draw_copula_uniform(cop, n, gen, rows=chunk)
-        np.log(buf, out=buf)
+        buf = rows.take(chunk)
         buf[0] += neg_s
         np.cumsum(buf, axis=0, out=buf)
         counts += (buf >= neg_lam).sum(axis=0)
         neg_s = buf[-1].copy()
-        if np.all(neg_s < neg_lam):
+        if (neg_s < neg_lam).all():
             return counts
         drawn += chunk
         chunk *= 2
@@ -391,13 +425,15 @@ def simulate_count(spec: ModelSpec, net: Network, cop: CopulaSpec,
     init = _resolve_init(cfg.init, net.n, "count")
     lam0 = np.ones(net.n) if isinstance(init, str) else init
     gen = rng.stream(cfg.seed, 0xC0)
+    if not cop.is_independent:  # one event-row source per panel, blocks of _EVENT_BLOCK cells
+        gen = _EventRows(cop, net.n, gen, max(1, _EVENT_BLOCK // net.n))
 
     y = copula_poisson_draw(lam0, cop, gen).astype(float)
     total = cfg.burn_in + cfg.T
     out = np.empty((net.n, total))
     for t in range(total):
         lam = cond_mean(spec, net, y)
-        if not np.all(np.isfinite(lam)):
+        if not -np.inf < lam.min() <= lam.max() < np.inf:  # NaN fails too
             raise RuntimeError(
                 f"non-finite intensity at step {t}; parameters look explosive")
         y = copula_poisson_draw(lam, cop, gen).astype(float)

@@ -203,9 +203,10 @@ def _check_prev(spec: ModelSpec, net: Network, y_prev: np.ndarray) -> np.ndarray
     y_prev = np.asarray(y_prev, dtype=float)
     if y_prev.shape != (net.n,):
         raise ValueError(f"y_prev must have length {net.n}")
-    if not np.all(np.isfinite(y_prev)):
+    lo = y_prev.min()
+    if not -np.inf < lo <= y_prev.max() < np.inf:  # NaN fails too
         raise ValueError("y_prev contains non-finite values")
-    if spec.domain == "count" and np.any(y_prev < 0):
+    if spec.domain == "count" and lo < 0:
         raise ValueError("count domain requires nonnegative y_prev")
     return y_prev
 

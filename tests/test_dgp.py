@@ -1,4 +1,5 @@
 import re
+import warnings
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,10 @@ from scipy.special import ndtri
 
 import netar as na
 from netar import rng
-from netar.dgp import (CopulaSpec, SimConfig, _apply_copula_factor, _warmup_steps,
-                       copula_poisson_draw, draw_copula_uniform, simulate_count,
-                       simulate_gaussian, stationary_init_linear_gaussian)
-from netar.model import ModelSpec
+from netar.dgp import (_EVENT_BLOCK, CopulaSpec, SimConfig, _apply_copula_factor,
+                       _warmup_steps, copula_poisson_draw, draw_copula_uniform,
+                       simulate_count, simulate_gaussian, stationary_init_linear_gaussian)
+from netar.model import ModelSpec, cond_mean
 from netar.netgraph import Network
 
 
@@ -511,10 +512,83 @@ def test_monotone_coupling_on_shared_stream():
 
 
 def test_rejects_bad_intensities():
-    with pytest.raises(ValueError):
-        copula_poisson_draw(np.array([1.0, -0.5]), CopulaSpec("identity"), rng.stream(0))
-    with pytest.raises(ValueError):
-        copula_poisson_draw(np.array([np.inf]), CopulaSpec("identity"), rng.stream(0))
+    # -inf and -1 pass a check of the maximum alone, NaN one of finiteness by
+    # comparison, so each bad value sits at a node of its own
+    for cop in (CopulaSpec("identity"), CopulaSpec("ar1", 0.5)):
+        for bad in (np.nan, np.inf, -np.inf, -1.0, -0.5):
+            for node in range(3):
+                lam = np.array([1.0, 2.0, 3.0])
+                lam[node] = bad
+                with pytest.raises(ValueError,
+                                   match=r"^intensities must be finite and nonnegative$"):
+                    copula_poisson_draw(lam, cop, rng.stream(0))
+
+
+def test_public_draw_reads_exactly_its_chunks():
+    # a draw from a Generator takes chunks of c, 2c, 4c ... rows (c the first
+    # chunk's size) until every node has passed its lam_i, that is until
+    # max(Y) + 1 rows are in, and reads nothing more off the stream.  2000
+    # nodes at lam = 40 take a second chunk with probability about 0.9 per draw
+    took_two = False
+    for cop in (CopulaSpec("ar1", -0.7), CopulaSpec("exch", 0.9)):
+        for n, lam_value in ((1, 3.0), (5, 0.4), (200, 6.0), (2000, 40.0)):
+            first = int(lam_value + 3.0 * np.sqrt(lam_value)) + 3
+            for s in range(3):
+                gen = rng.stream(41, n, s)
+                y = copula_poisson_draw(np.full(n, lam_value), cop, gen)
+                chunk, rows = first, 0
+                while rows < y.max() + 1:
+                    rows, chunk = rows + chunk, 2 * chunk
+                took_two |= rows > first
+                fresh = rng.stream(41, n, s)
+                fresh.standard_normal((rows, n))
+                assert np.array_equal(gen.standard_normal(8), fresh.standard_normal(8))
+    assert took_two
+
+
+def _circulant(n):
+    """Network with edges i -> i+1 and i -> i+2 (mod n); a lone node has none."""
+    i = np.arange(n)
+    edges = np.column_stack([np.r_[i, i], np.r_[(i + 1) % n, (i + 2) % n]])
+    edges = np.unique(edges[edges[:, 0] != edges[:, 1]], axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the lone node's zero out-degree
+        return na.row_normalize(edges, n)
+
+
+@pytest.mark.parametrize("structure, rho", [("ar1", 0.5), ("ar1", -0.7),
+                                            ("exch", 0.3), ("exch", 0.9)])
+def test_count_panel_equals_step_by_step_public_draws(structure, rho, monkeypatch):
+    # simulate_count reads its event rows off the stream in blocks of about
+    # _EVENT_BLOCK cells; each step still takes exactly the rows of the public
+    # draw, so the panel equals cond_mean plus copula_poisson_draw on one shared
+    # stream.  At n = 3000 a block holds 21 rows, fewer than a first chunk at
+    # lam_max >= 8, so chunks straddle blocks and some need more rows than a block
+    spec = ModelSpec.linear((8.0, 0.3, 0.2), "count")
+    cop = CopulaSpec(structure, rho)
+    drawn = []
+
+    def recorded(cop, n, gen, rows=None):
+        drawn.append(rows)
+        return draw_copula_uniform(cop, n, gen, rows)
+
+    monkeypatch.setattr("netar.dgp.draw_copula_uniform", recorded)
+    for n, T in ((1, 60), (7, 60), (200, 40), (3000, 5)):
+        net = _circulant(n)
+        for burn in (0, 50):
+            cfg = SimConfig(T=T, burn_in=burn, seed=n + burn)
+            gen = rng.stream(cfg.seed, 0xC0)
+            y, steps = copula_poisson_draw(np.ones(n), cop, gen), []
+            for _ in range(burn + T):
+                y = copula_poisson_draw(cond_mean(spec, net, y), cop, gen)
+                steps.append(y)
+            drawn.clear()
+            panel = simulate_count(spec, net, cop, cfg).values
+            assert np.array_equal(panel, np.array(steps).T[:, burn:])
+            block = max(1, _EVENT_BLOCK // n)
+            assert min(drawn) >= block
+            if n == 3000:
+                assert max(drawn) > block
 
 
 # count simulation ---------------------------------------------------------------
@@ -566,6 +640,28 @@ def test_zero_intensity_linear_chain_stays_zero(small_net):
     panel = simulate_count(spec, small_net, CopulaSpec("identity"),
                            SimConfig(T=1, burn_in=0, seed=1, init=0.0))
     assert np.array_equal(panel.values, np.zeros((small_net.n, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_count_simulation_rejects_a_non_finite_intensity(small_net, bad, monkeypatch):
+    # the mean turns bad at one node of the fourth step (step 3 after the
+    # start draw), under the direct and the waiting-time draw alike
+    calls = []
+
+    def spoiled(spec, net, y):
+        lam = cond_mean(spec, net, y)
+        calls.append(None)
+        if len(calls) == 4:
+            lam[len(calls)] = bad
+        return lam
+
+    monkeypatch.setattr("netar.dgp.cond_mean", spoiled)
+    spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
+    for cop in (CopulaSpec("identity"), CopulaSpec("exch", 0.3)):
+        calls.clear()
+        with pytest.raises(RuntimeError,
+                           match=r"^non-finite intensity at step 3; parameters look explosive$"):
+            simulate_count(spec, small_net, cop, SimConfig(T=10, burn_in=0, seed=2))
 
 
 def test_unstable_count_parameters_warn(small_net):

@@ -169,6 +169,27 @@ def test_validation_rejects_bad_parameters():
         ModelSpec("nope", "count", (1.0, 0.2, 0.3))
 
 
+def test_cond_mean_rejects_bad_previous_values(small_net):
+    # each bad value at a node of its own: -inf and NaN would pass a check of the
+    # maximum alone; -1 is finite but not a count
+    for domain in ("count", "cont"):
+        spec = ModelSpec.linear((1.0, 0.3, 0.2), domain)
+        for node in (0, 7, small_net.n - 1):
+            for bad in (np.nan, np.inf, -np.inf):
+                y = np.ones(small_net.n)
+                y[node] = bad
+                with pytest.raises(ValueError, match=r"^y_prev contains non-finite values$"):
+                    cond_mean(spec, small_net, y)
+            y = np.ones(small_net.n)
+            y[node] = -1.0
+            if domain == "count":
+                with pytest.raises(ValueError,
+                                   match=r"^count domain requires nonnegative y_prev$"):
+                    cond_mean(spec, small_net, y)
+            else:
+                assert np.all(np.isfinite(cond_mean(spec, small_net, y)))
+
+
 def test_parse_spec_round_trips():
     beta = (1.0, 0.3, 0.2)
     assert parse_spec("linear", beta, "count").family == "linear"
