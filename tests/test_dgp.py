@@ -1,6 +1,6 @@
 import re
-import warnings
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -512,8 +512,8 @@ def test_monotone_coupling_on_shared_stream():
 
 
 def test_rejects_bad_intensities():
-    # -inf and -1 pass a check of the maximum alone, NaN one of finiteness by
-    # comparison, so each bad value sits at a node of its own
+    # -inf and negative values pass a check of the maximum alone; each bad
+    # value is tried at every node
     for cop in (CopulaSpec("identity"), CopulaSpec("ar1", 0.5)):
         for bad in (np.nan, np.inf, -np.inf, -1.0, -0.5):
             for node in range(3):
@@ -528,7 +528,8 @@ def test_public_draw_reads_exactly_its_chunks():
     # a draw from a Generator takes chunks of c, 2c, 4c ... rows (c the first
     # chunk's size) until every node has passed its lam_i, that is until
     # max(Y) + 1 rows are in, and reads nothing more off the stream.  2000
-    # nodes at lam = 40 take a second chunk with probability about 0.9 per draw
+    # nearly independent nodes at lam = 40 take a second chunk with probability
+    # about 0.9 per draw
     took_two = False
     for cop in (CopulaSpec("ar1", -0.7), CopulaSpec("exch", 0.9)):
         for n, lam_value in ((1, 3.0), (5, 0.4), (200, 6.0), (2000, 40.0)):
@@ -652,7 +653,7 @@ def test_count_simulation_rejects_a_non_finite_intensity(small_net, bad, monkeyp
         lam = cond_mean(spec, net, y)
         calls.append(None)
         if len(calls) == 4:
-            lam[len(calls)] = bad
+            lam[4] = bad
         return lam
 
     monkeypatch.setattr("netar.dgp.cond_mean", spoiled)

@@ -170,8 +170,8 @@ def test_validation_rejects_bad_parameters():
 
 
 def test_cond_mean_rejects_bad_previous_values(small_net):
-    # each bad value at a node of its own: -inf and NaN would pass a check of the
-    # maximum alone; -1 is finite but not a count
+    # -inf passes a check of the maximum alone; each bad value is tried at three
+    # nodes.  -1 is finite: the count domain rejects it, the continuous one does not
     for domain in ("count", "cont"):
         spec = ModelSpec.linear((1.0, 0.3, 0.2), domain)
         for node in (0, 7, small_net.n - 1):
