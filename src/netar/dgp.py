@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import rng
 from .model import ModelSpec, cond_mean, mean_elementwise, stability_check
@@ -313,7 +314,7 @@ def draw_copula_uniform(cop: CopulaSpec, n: int, gen: np.random.Generator,
     z = gen.standard_normal((rows, n) if rows is not None else n)
     if not cop.is_independent:
         z = _apply_copula_factor(cop, z)
-    return rng.ndtr(z, out=z)
+    return ndtr(z, out=z)
 
 
 def _event_cap(lam_max: float, n: int) -> int:

@@ -36,7 +36,7 @@ import numpy as np
 from . import rng
 from .dgp import Panel
 from .lintest import _null_design, _whiten, chi2_sf
-from .model import _N_ACTIVE, _h_columns
+from .model import _h_columns
 from .netgraph import Network
 from .qmle import FitResult, _score_parts, _weights, lagged_design
 from .qmle import ols_fit_linear, qmle_fit  # noqa: F401  (names perfbench traces)
@@ -116,7 +116,8 @@ class LMProfile:
     """Profile of the quasi-score statistic over the nuisance grid.
 
     whitened[k] is the (T-1) x k2 left singular factor U of the effective
-    scores E at kept grid point k, E = U S V': the rows of E are the
+    scores E at kept grid point k, E = U S V', with k2 the number of
+    tested coordinates (1 for stnar, 3 for tnar): the rows of E are the
     nonlinear-block scores with the linear block projected out through
     the curvature, e_t = s_t^(2) - H21 H11^-1 s_t^(1), and E'E is the
     score covariance Sigma.  Their total is the partial score at the
@@ -127,7 +128,6 @@ class LMProfile:
 
     grid: np.ndarray
     lm: np.ndarray
-    k2: int
     whitened: np.ndarray
     family: str
     null_fit: FitResult
@@ -191,12 +191,12 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     """
     if family not in ("stnar", "tnar"):
         raise ValueError("profiled testing applies to the stnar and tnar families")
-    k2 = _N_ACTIVE[family] - 3
     null_fit, (y_now, y_lag, x_lag), lam = _null_design(panel, net, domain)
     resid, curf = _weights(domain, y_now, lam)
 
     s1, h11, ok, s2, h12 = (_tnar_blocks if family == "tnar" else _stnar_blocks)(
         grid.values, x_lag, y_lag, resid, curf)
+    k2 = s2.shape[-1]
     why = np.where(ok, "", "degenerate nonlinear regressors").astype(object)
     try:
         effective = s2[ok] - s1 @ np.linalg.solve(h11, h12[ok])
@@ -214,7 +214,7 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     u = u[rank >= k2]
     return LMProfile(
         grid=grid.values[why == ""], lm=_whitened_stat(u, np.ones((u.shape[1], 1)))[:, 0],
-        k2=k2, whitened=u, family=family, null_fit=null_fit, dropped=dropped)
+        whitened=u, family=family, null_fit=null_fit, dropped=dropped)
 
 
 def aggregate(profile: LMProfile, g: str = "sup") -> float:
@@ -231,21 +231,18 @@ def aggregate(profile: LMProfile, g: str = "sup") -> float:
 def davies_pvalue(profile: LMProfile) -> float:
     """Upper bound on the sup-test p-value for a scalar smooth nuisance.
 
-    P(chi2_k2 >= M) + V * M^((k2-1)/2) * exp(-M/2) * 2^(-k2/2) / Gamma(k2/2)
-    with M the profile supremum and V the total variation of sqrt(LM).
-    Not applicable to the threshold family, whose profile is not smooth
-    in the nuisance rate.
+    P(chi2_1 >= M) + V * exp(-M/2) * 2^(-1/2) / Gamma(1/2), the bound for
+    k2 = 1 tested coordinate, with M the profile supremum and V the total
+    variation of sqrt(LM).  Only the stnar profile qualifies: the
+    threshold family's is not smooth in the nuisance rate.
     """
-    if profile.family == "tnar" or profile.k2 != 1:
+    if profile.family != "stnar":
         raise ValueError("the Davies bound requires a scalar smooth nuisance rate")
     if profile.lm.size < 2:
         raise ValueError("the total-variation term needs at least two grid points")
     m = float(profile.lm.max())
     tv = float(np.abs(np.diff(np.sqrt(profile.lm))).sum())
-    k2 = profile.k2
-    bound = chi2_sf(m, k2) + (
-        tv * m ** ((k2 - 1) / 2.0) * math.exp(-m / 2.0)
-        * 2.0 ** (-k2 / 2.0) / math.gamma(k2 / 2.0))
+    bound = chi2_sf(m, 1) + tv * math.exp(-m / 2.0) * 2.0 ** -0.5 / math.gamma(0.5)
     return min(1.0, float(bound))
 
 
@@ -301,7 +298,9 @@ def run_profile_test(panel: Panel, net: Network, family: str, domain: str,
                      grid: Optional[GammaGrid] = None, method: str = "both",
                      agg: str = "sup", reps: int = 499, seed: int = 0) -> ProfileTestResult:
     """Profile the statistic (default_grid unless a grid is given) and attach
-    Davies and/or bootstrap p-values."""
+    Davies and/or bootstrap p-values (method "davies", "bootstrap" or "both")."""
+    if method not in ("davies", "bootstrap", "both"):
+        raise ValueError(f"method must be 'davies', 'bootstrap' or 'both', got {method!r}")
     if grid is None:
         grid = default_grid(family, panel=panel, net=net)
     profile = lm_profile(panel, net, family, grid, domain)

@@ -5,7 +5,9 @@ Count panels are fitted by maximizing the working Poisson likelihood
 report the sandwich covariance H^-1 B H^-1, where H is the observed
 Hessian of the quasi-likelihood and B the outer product of per-time score
 contributions; B captures the cross-sectional dependence the working
-likelihood ignores.
+likelihood ignores.  Every family is fitted on one Newton path; its
+derivative stack is fixed unless the mean is curved in the estimable
+coordinates (drift), and its weights go to two reused buffers.
 
 The score and curvature sums here, in the drift test (lintest) and of
 the profile tests' linear block (nuisance) come from one private kernel,
@@ -115,13 +117,18 @@ def _score_parts(cols: np.ndarray, weight: np.ndarray, curv=None, second=None):
     return s_t, 0.5 * (hess + hess.T)
 
 
-def _weights(domain: str, y_now, lam):
+def _weights(domain: str, y_now, lam, out=(None, None)):
     """Score and curvature weights of the quasi-likelihood at mean lam:
     (Y/lam - 1, Y/lam^2) for the working Poisson likelihood of counts,
-    (Y - lam, None) for least squares."""
-    if domain == "count":
-        return y_now / lam - 1.0, y_now / (lam * lam)
-    return y_now - lam, None
+    (Y - lam, None) for least squares.  out is a pair of arrays shaped
+    like lam that receive the count weights instead of new ones."""
+    if domain != "count":
+        return y_now - lam, None
+    weight = np.divide(y_now, lam, out=out[0])
+    weight -= 1.0
+    curv = np.multiply(lam, lam, out=out[1])
+    np.divide(y_now, curv, out=curv)
+    return weight, curv
 
 
 def _quasi_parts(sp: ModelSpec, y_now, y_lag, x_lag, lam):
@@ -204,7 +211,10 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
 
     Count-domain coordinates are projected onto [_LOWER, inf); convergence
     is declared when max|score| < _SCORE_TOL * (number of cells) or the
-    step collapses below _STEP_TOL, within _MAX_ITER iterations.
+    step collapses below _STEP_TOL, within _MAX_ITER iterations.  Scores
+    and curvature are formed once per accepted iterate, with the weights
+    in two reused buffers; the derivative stack is built once when the
+    mean is linear in its estimable coordinates (every family but drift).
     """
     if spec.domain != "count":
         raise ValueError("qmle_fit expects a count-domain spec")
@@ -212,12 +222,8 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
         raise ValueError("qmle_fit expects a nonnegative integer panel")
     y_now, y_lag, x_lag = lagged_design(panel, net)
     n_obs = y_now.size
-
-    def project(t):
-        return np.maximum(t, _LOWER)
-
-    theta = project(np.asarray(theta0, dtype=float) if theta0 is not None
-                    else _default_start(panel, spec))
+    theta = np.maximum(np.asarray(theta0, dtype=float) if theta0 is not None
+                       else _default_start(panel, spec), _LOWER)
 
     def loglik_at(t):
         lam = mean_elementwise(spec.with_active(t), x_lag, y_lag)
@@ -229,31 +235,22 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
     if not np.isfinite(ll):
         raise ValueError("starting value is inadmissible")
 
-    if spec.family == "linear":
-        # the derivatives (1, X, Y) do not depend on theta: build them once and
-        # write _weights' count formulas into two reused buffers
-        cols = jac_elementwise(spec, x_lag, y_lag)
-        weight, curv = np.empty_like(y_now), np.empty_like(y_now)
+    buffers = np.empty_like(y_now), np.empty_like(y_now)
+    cols = None
 
-        def parts_at(t, lam_t):
-            np.divide(y_now, lam_t, out=weight)
-            np.subtract(weight, 1.0, out=weight)
-            np.multiply(lam_t, lam_t, out=curv)
-            np.divide(y_now, curv, out=curv)
-            s_t, hess = _score_parts(cols, weight, curv)
-            return s_t, hess, s_t.sum(axis=0)
-    else:
-        def parts_at(t, lam_t):
-            s_t, hess = _quasi_parts(spec.with_active(t), y_now, y_lag, x_lag, lam_t)
-            return s_t, hess, s_t.sum(axis=0)
+    def parts_at(t, lam_t):
+        nonlocal cols
+        sp = spec.with_active(t)
+        second = hess_elementwise(sp, x_lag, y_lag)
+        if cols is None or second is not None:      # only a curved mean moves the stack
+            cols = jac_elementwise(sp, x_lag, y_lag)
+        s_t, hess = _score_parts(cols, *_weights("count", y_now, lam_t, buffers), second)
+        return s_t, hess, s_t.sum(axis=0)
 
+    s_t, hess, score = parts_at(theta, lam)
     jitter_total = 0
     converged = False
-    iters = 0
-    parts_theta = None     # the iterate s_t, hess and score belong to
     for iters in range(1, _MAX_ITER + 1):
-        parts_theta = theta
-        s_t, hess, score = parts_at(theta, lam)
         if np.max(np.abs(score)) < _SCORE_TOL * n_obs:
             converged = True
             break
@@ -261,24 +258,21 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
         jitter_total += jitter
 
         scale = 1.0
-        improved = False
         for _ in range(40):
-            cand = project(theta + scale * step)
+            cand = np.maximum(theta + scale * step, _LOWER)
             ll_new, lam_new = loglik_at(cand)
             if ll_new >= ll - 1e-12:
-                improved = True
                 break
             scale *= 0.5
-        if not improved:
+        else:
             break
         moved = np.max(np.abs(cand - theta))
         theta, ll, lam = cand, ll_new, lam_new
+        s_t, hess, score = parts_at(theta, lam)
         if moved < _STEP_TOL:
             converged = True
             break
 
-    if parts_theta is not theta:
-        s_t, hess, score = parts_at(theta, lam)
     if not converged and np.max(np.abs(score)) < _SCORE_TOL * n_obs:
         converged = True
     opg = s_t.T @ s_t

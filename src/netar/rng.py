@@ -13,9 +13,8 @@ of b.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
-__all__ = ["mix_seed", "stream", "ndtr"]
+__all__ = ["mix_seed", "stream"]
 
 _MASK64 = (1 << 64) - 1
 

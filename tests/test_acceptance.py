@@ -146,8 +146,7 @@ def test_criterion_08_oracle_suite():
     for _ in range(100):
         lm = rs3.uniform(0, 10, rs3.integers(2, 12))
         grid = np.linspace(0.1, 2.0, lm.size)
-        prof = na.LMProfile(grid=grid, lm=lm, k2=1, whitened=None, family="stnar",
-                            null_fit=None)
+        prof = na.LMProfile(grid=grid, lm=lm, whitened=None, family="stnar", null_fit=None)
         if davies_pvalue(prof) < chi2_sf(float(lm.max()), 1) - 1e-15:
             dominated = False
     checks.append(("Davies dominates pointwise", dominated, "100 profiles"))

@@ -17,11 +17,10 @@ from netar.qmle import _score_parts, _weights, lagged_design
 from reference import four_term_sigma
 
 
-def _profile_from(lm_values, k2=1, family="stnar"):
+def _profile_from(lm_values, family="stnar"):
     lm_values = np.asarray(lm_values, dtype=float)
     grid = np.linspace(0.1, 2.0, lm_values.size)
-    return LMProfile(grid=grid, lm=lm_values, k2=k2, whitened=None, family=family,
-                     null_fit=None)
+    return LMProfile(grid=grid, lm=lm_values, whitened=None, family=family, null_fit=None)
 
 
 # grids --------------------------------------------------------------------------
@@ -327,7 +326,7 @@ def test_davies_dominates_pointwise_tail(rs):
 
 
 def test_davies_rejects_threshold_family():
-    prof = _profile_from([1.0, 2.0], k2=3, family="tnar")
+    prof = _profile_from([1.0, 2.0], family="tnar")
     with pytest.raises(ValueError):
         davies_pvalue(prof)
 
@@ -405,3 +404,14 @@ def test_run_profile_test_shapes(small_net, cont_panel):
     assert res_t.davies_p is None
     with pytest.raises(ValueError):
         run_profile_test(cont_panel, small_net, "tnar", "cont", method="davies")
+
+
+@pytest.mark.parametrize("method", ["Davies", "boot", ""])
+def test_run_profile_test_rejects_an_unknown_method(small_net, cont_panel, monkeypatch,
+                                                    method):
+    # checked before the profile is computed, which would otherwise return
+    # neither p-value
+    monkeypatch.setattr("netar.nuisance.lm_profile",
+                        lambda *args: pytest.fail("the profile was computed"))
+    with pytest.raises(ValueError, match="'davies', 'bootstrap' or 'both'"):
+        run_profile_test(cont_panel, small_net, "stnar", "cont", method=method)

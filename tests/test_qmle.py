@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 import netar as na
 import reference
+from netar import qmle
 from netar.dgp import Panel, SimConfig
 from netar.model import ModelSpec, mean_elementwise
 from netar.qmle import (_poisson_loglik, _quasi_parts, lagged_design, ols_fit_linear,
@@ -211,22 +214,49 @@ def test_qmle_from_truth_on_tiny_panel_converges(small_net):
     assert np.max(np.abs(fit.score_at_opt)) < 1e-6 * fit.n_obs
 
 
+_FIT_SPECS = {
+    "linear": ModelSpec.linear((1.0, 0.3, 0.2), "count"),
+    "drift": ModelSpec.drift((1.0, 0.3, 0.2), 0.5, "count"),
+    "stnar": ModelSpec.stnar((1.0, 0.3, 0.2), 0.3, 1.0, "count"),
+    "tnar": ModelSpec.tnar((1.0, 0.3, 0.2), (0.5, 0.1, 0.0), 1.2, "count"),
+}
+
+
 @pytest.mark.parametrize("n", [30, 200])
-@pytest.mark.parametrize("structure, rho", [("identity", 0.0), ("ar1", 0.5), ("exch", 0.3)])
-def test_qmle_parts_equal_the_shared_kernel_at_theta_hat(n, structure, rho):
-    # the linear fit writes its weights into reused buffers; they must give
-    # exactly the shared kernel's curvature and score, and its likelihood is
-    # the reference one
+@pytest.mark.parametrize("structure, rho, family", [
+    pytest.param(structure, rho, family,
+                 id=f"{structure}-{rho}" + ("" if family == "linear" else f"-{family}"))
+    for family in _FIT_SPECS for structure, rho in (("identity", 0.0), ("ar1", 0.5),
+                                                    ("exch", 0.3))])
+def test_qmle_parts_equal_the_shared_kernel_at_theta_hat(n, structure, rho, family,
+                                                          monkeypatch):
+    # the fit writes its weights into reused buffers and keeps the derivative
+    # stack of a mean linear in theta; its curvature, score and likelihood
+    # must be exactly the shared kernel's at theta_hat however the Newton loop
+    # ends: by the score criterion, by a collapsed step (no score criterion),
+    # by a failed line search (four of the drift and tnar fits here do not
+    # converge) or by the iteration cap (one iteration)
     net = na.gen_sbm(n, 2, seed=31)
-    spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
+    spec = _FIT_SPECS[family]
     panel = na.simulate_count(spec, net, na.CopulaSpec(structure, rho),
                               SimConfig(T=120, burn_in=100, seed=32))
-    fit = qmle_fit(panel, net, spec)
-    s_t, hess = _kernel_at(panel, net, spec, fit.theta_hat)
-    assert np.array_equal(fit.hessian, hess)
-    assert np.array_equal(fit.score_at_opt, s_t.sum(axis=0))
-    assert fit.loglik == pytest.approx(
-        reference.poisson_loglik(panel.values, net.w, fit.theta_hat), rel=1e-14)
+    y_now, y_lag, x_lag = lagged_design(panel, net)
+    for knob, value in ((None, None), ("_SCORE_TOL", 0.0), ("_MAX_ITER", 1)):
+        with monkeypatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # "QMLE did not converge"
+            if knob:
+                mp.setattr(qmle, knob, value)
+            fit = qmle_fit(panel, net, spec)
+        s_t, hess = _kernel_at(panel, net, spec, fit.theta_hat)
+        assert np.array_equal(fit.hessian, hess)
+        assert np.array_equal(fit.score_at_opt, s_t.sum(axis=0))
+        assert np.array_equal(fit.opg, s_t.T @ s_t)
+        sp = spec.with_active(fit.theta_hat)
+        assert fit.loglik == _poisson_loglik(y_now, mean_elementwise(sp, x_lag, y_lag))
+        if family in ("linear", "drift"):
+            assert fit.loglik == pytest.approx(
+                reference.poisson_loglik(panel.values, net.w, fit.theta_hat), rel=1e-14)
+        assert knob != "_MAX_ITER" or fit.iterations == 1
 
 
 def test_qmle_permutation_invariance(small_net, count_panel, rs):
