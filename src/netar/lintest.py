@@ -50,9 +50,10 @@ def chi2_sf(x: float, df: int) -> float:
 
 
 def _null_design(panel: Panel, net: Network, domain: str):
-    """The linear null fitted to the panel (QMLE from (1, 0.2, 0.2) for
-    counts, least squares for continuous data), the lagged design
-    (y_now, y_lag, x_lag) and the null mean lam at the fit."""
+    """The linear null fitted to the panel (QMLE for counts, least squares
+    for continuous data), the lagged design (y_now, y_lag, x_lag) and the
+    null mean lam at the fit.  The QMLE starts at qmle_fit's default
+    (0.6 mean(Y), 0.2, 0.2); the spec below names the family only."""
     null_fit = (qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2), "count"))
                 if domain == "count" else ols_fit_linear(panel, net))
     if not null_fit.converged:

@@ -71,6 +71,21 @@ class GammaGrid:
         return self.values.size
 
 
+def _node_quantiles(x_lag):
+    """np.quantile(x_lag, (0.10, 0.90), axis=1) from one sort of the rows
+    (the rule is in default_grid's docstring)."""
+    srt = np.sort(x_lag, axis=1)
+    last = srt.shape[1] - 1
+    out = []
+    for q in (0.10, 0.90):
+        lo = math.floor(last * q)
+        gamma = last * q - lo
+        a, b = srt[:, lo], srt[:, min(lo + 1, last)]
+        d = b - a
+        out.append(a + d * gamma if gamma < 0.5 else b - d * (1.0 - gamma))
+    return tuple(out)
+
+
 def default_grid(family: str, panel: Optional[Panel] = None,
                  net: Optional[Network] = None) -> GammaGrid:
     """Family-specific default grid of 10 points; pass others as a GammaGrid.
@@ -79,11 +94,15 @@ def default_grid(family: str, panel: Optional[Panel] = None,
     tnar: equidistant points from the minimum of the per-node 10 percent
     quantiles of the neighbour averages to the maximum of the 90 percent
     ones, trimmed to the open range of the observed X so the indicator
-    never degenerates.  A tnar point within 1e-12*max(1, |g|) of an
-    observed X moves up to the midpoint with the next larger observed X:
-    on count panels X takes values k/out-degree, and whether 1{X <= g}
-    holds for a cell tied with g would depend on how the neighbour average
-    rounded, which changes with the node labelling.
+    never degenerates.  The quantiles are numpy's linear rule read from one
+    sort of each node's row of n values: with v = (n-1) q, a and b the
+    sorted values at floor(v) and floor(v)+1, gamma = v - floor(v) and
+    d = b - a, a + d gamma if gamma < 0.5, else b - d (1 - gamma).  A
+    tnar point within 1e-12*max(1, |g|) of an observed X moves up to the
+    midpoint with the next larger observed X: on count panels X takes
+    values k/out-degree, and whether 1{X <= g} holds for a cell tied with
+    g would depend on how the neighbour average rounded, which changes
+    with the node labelling.
     """
     if family == "stnar":
         return GammaGrid(np.linspace(0.05, 2.0, 10))
@@ -92,7 +111,7 @@ def default_grid(family: str, panel: Optional[Panel] = None,
     if panel is None or net is None:
         raise ValueError("the tnar quantile rule needs the panel and network")
     _, _, x_lag = lagged_design(panel, net)
-    q10, q90 = np.quantile(x_lag, (0.10, 0.90), axis=1)
+    q10, q90 = _node_quantiles(x_lag)
     xs = np.sort(x_lag, axis=None)
     if xs[-1] - xs[0] <= 1e-12 * max(1.0, -xs[0], xs[-1]):
         raise ValueError("neighbour averages are constant; no usable threshold range")
@@ -152,6 +171,15 @@ def _stnar_blocks(grid, x, y, resid, curf):
     return (*_score_parts(z1, resid, curf), *map(np.array, zip(*parts)))
 
 
+def _tnar_bins(grid, x):
+    """np.searchsorted(grid, x, side="left"), the number of grid points
+    strictly below each cell, from one comparison per grid point."""
+    bins = np.zeros(x.shape, dtype=np.intp)
+    for g in grid:
+        bins += x > g
+    return bins
+
+
 def _tnar_blocks(grid, x, y, resid, curf):
     """As _stnar_blocks for the columns (1, X, Y) * 1{X <= g}.  A cell is in
     bin b <= j exactly when X <= g_j, so cumulative sums over the bins give
@@ -159,7 +187,7 @@ def _tnar_blocks(grid, x, y, resid, curf):
     The point is degenerate if every cell counts (the indicator is the
     intercept) or no counted cell has X != 0 or Y != 0."""
     num, tm1 = grid.size, x.shape[1]
-    bins = np.searchsorted(grid, x, side="left")
+    bins = _tnar_bins(grid, x)
 
     def cum(idx, weights, rows=1):      # (rows, G+1) sums over the cells with b <= j
         sums = np.bincount(idx.ravel(), None if weights is None else weights.ravel(),

@@ -13,7 +13,10 @@ The score and curvature sums here, in the drift test (lintest) and of
 the profile tests' linear block (nuisance) come from one private kernel,
 _score_parts: the unprojected per-time scores s_t and the curvature H of
 a derivative stack.  The tests' score covariance is the outer product
-of these scores with the linear block projected out.
+of these scores with the linear block projected out.  The curvature is
+summed over column blocks of _CURV_BLOCK cells, each weighted as it is
+read: at paper scale (N(T-1) near 2e5 cells) no weighted copy of the
+stack is formed and each block's product runs on data in cache.
 
 Time indexing: the first column of a panel conditions the recursion, so
 all sums run over the remaining T-1 time points.
@@ -44,6 +47,7 @@ _LAM_FLOOR = 1e-12     # intensities below this signal an inadmissible theta
 _MAX_ITER = 200        # Newton iterations of qmle_fit
 _SCORE_TOL = 1e-6      # converged when max|score| < _SCORE_TOL * (number of cells)
 _STEP_TOL = 1e-9       # ... or when a step moves every coordinate less than this
+_CURV_BLOCK = 1 << 13  # cells per column block of the curvature sum
 
 
 @dataclass
@@ -104,11 +108,18 @@ def _score_parts(cols: np.ndarray, weight: np.ndarray, curv=None, second=None):
     squares), curv the curvature weight Y/lam^2 (None for unit weight) and
     second the hess_elementwise entries, which enter with the score weight.
     Returns the (T-1) x m scores s_t summed over nodes and the symmetric
-    m x m curvature sum curv d d' - sum weight d2lam.
+    m x m curvature sum curv d d' - sum weight d2lam.  The first sum runs
+    over blocks of _CURV_BLOCK cells: each block of the flattened stack is
+    weighted by curv and multiplied by its own transpose, and the m x m
+    products are added.
     """
     s_t = np.einsum("ant,nt->ta", cols, weight)
     flat = cols.reshape(cols.shape[0], -1)
-    hess = (flat if curv is None else flat * curv.reshape(-1)) @ flat.T
+    cw = None if curv is None else curv.reshape(-1)
+    hess = np.zeros((flat.shape[0], flat.shape[0]))
+    for lo in range(0, flat.shape[1], _CURV_BLOCK):
+        block = flat[:, lo:lo + _CURV_BLOCK]
+        hess += (block if cw is None else block * cw[lo:lo + _CURV_BLOCK]) @ block.T
     for row, col, vals in second or ():
         adj = float(np.sum(weight * vals))
         hess[row, col] -= adj
@@ -138,7 +149,12 @@ def _quasi_parts(sp: ModelSpec, y_now, y_lag, x_lag, lam):
 
 
 def _poisson_loglik(y_now, lam) -> float:
-    return float(np.sum(np.where(y_now > 0, y_now * np.log(lam), 0.0) - lam))
+    """sum(Y log lam - lam) for positive finite lam, where 0 log lam = 0
+    holds without a mask."""
+    ll = np.log(lam)
+    ll *= y_now
+    ll -= lam
+    return float(ll.sum())
 
 
 def _ridge_solve(mat: np.ndarray, rhs: np.ndarray):
@@ -227,7 +243,7 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
 
     def loglik_at(t):
         lam = mean_elementwise(spec.with_active(t), x_lag, y_lag)
-        if lam.min() <= _LAM_FLOOR or not np.all(np.isfinite(lam)):
+        if not (lam.min() > _LAM_FLOOR and lam.max() < np.inf):
             return -np.inf, None
         return _poisson_loglik(y_now, lam), lam
 

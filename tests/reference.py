@@ -58,3 +58,59 @@ def second_differences(f, theta, h):
     steps = h * np.eye(len(theta))
     return np.array([[(f(theta + sj + sk) - f(theta + sj - sk) - f(theta - sj + sk)
                        + f(theta - sj - sk)) / (4 * h * h) for sk in steps] for sj in steps])
+
+
+def score_parts(cols, weight, curv=None, second=()):
+    """Per-time scores s_t = sum_n d_nt weight_nt ((T-1) x m) and the curvature
+    sum_nt curv_nt d_nt d_nt' - sum_nt weight_nt d2_nt (m x m) of a derivative
+    stack cols (m, N, T-1), formed densely; curv None is unit weight and second
+    holds (row, col, values) entries of the upper triangle."""
+    unit = np.ones(cols.shape[1:]) if curv is None else curv
+    hess = np.einsum("ant,nt,bnt->ab", cols, unit, cols)
+    for row, col, vals in second:
+        hess[row, col] -= np.sum(weight * vals)
+        if row != col:
+            hess[col, row] -= np.sum(weight * vals)
+    return np.einsum("ant,nt->ta", cols, weight), hess
+
+
+def count_linear_fit(values, w, step_tol=1e-14, max_iter=100):
+    """The linear count QMLE by Newton's method with step halving, started at
+    (mean of Y_t, 0, 0) and run until a step moves no coordinate more than
+    step_tol (1 + |theta|).  Returns (theta, iterations)."""
+    y_now, x, y = lagged(values, w)
+    cols = np.stack([np.ones_like(x), x, y])
+    theta = np.array([y_now.mean(), 0.0, 0.0])
+    for it in range(1, max_iter + 1):
+        lam = count_mean(values, w, theta)
+        score = np.einsum("ant,nt->a", cols, y_now / lam - 1.0)
+        info = np.einsum("ant,nt,bnt->ab", cols, y_now / lam ** 2, cols)
+        step = np.linalg.solve(info, score)
+        scale, ll = 1.0, poisson_loglik(values, w, theta)
+        while True:
+            cand = theta + scale * step
+            if (count_mean(values, w, cand).min() > 0
+                    and poisson_loglik(values, w, cand) >= ll - 1e-9 * abs(ll)):
+                break
+            scale *= 0.5
+        theta = cand
+        if np.all(np.abs(scale * step) <= step_tol * (1.0 + np.abs(theta))):
+            return theta, it
+    raise RuntimeError("reference Newton loop did not converge")
+
+
+def drift_statistic(values, w, beta):
+    """The count drift test statistic at the linear fit beta: the partial
+    score of g at g = 0, with derivative -b0 log(1 + X), standardized by
+    Sigma = sum_t e_t e_t', e_t = s_t^(2) - H21 H11^-1 s_t^(1).  The partial
+    score is the total of the e_t, which at the exact fit equals the total
+    of the s_t^(2)."""
+    y_now, x, y = lagged(values, w)
+    lam = count_mean(values, w, beta)
+    log1x = np.log1p(x)
+    cols = np.stack([np.ones_like(x), x, y, -beta[0] * log1x])
+    weight = y_now / lam - 1.0
+    s_t, hess = score_parts(cols, weight, y_now / lam ** 2,
+                            ((0, 3, -log1x), (3, 3, beta[0] * log1x ** 2)))
+    eff = s_t[:, 3] - s_t[:, :3] @ np.linalg.solve(hess[:3, :3], hess[:3, 3])
+    return float(eff.sum() ** 2 / (eff @ eff))

@@ -10,9 +10,9 @@ import netar as na
 from netar.dgp import Panel, SimConfig
 from netar.lintest import chi2_sf
 from netar.model import ModelSpec, _h_columns, mean_elementwise
-from netar.nuisance import (GammaGrid, LMProfile, _tnar_blocks, aggregate,
-                            davies_pvalue, default_grid, lm_profile, run_profile_test,
-                            score_bootstrap)
+from netar.nuisance import (GammaGrid, LMProfile, _node_quantiles, _tnar_bins, _tnar_blocks,
+                            aggregate, davies_pvalue, default_grid, lm_profile,
+                            run_profile_test, score_bootstrap)
 from netar.qmle import _score_parts, _weights, lagged_design
 from reference import four_term_sigma
 
@@ -74,6 +74,39 @@ def test_tnar_grid_never_exits_observed_range(small_net):
         x = small_net.w @ panel.values[:, :-1]
         assert np.all(grid.values > x.min())
         assert np.all(grid.values < x.max())
+
+
+def _lagged_panel(net, row, domain):
+    """A panel with row + 1 columns and its neighbour averages: a count panel's
+    take the lattice values k/out-degree, so many cells tie."""
+    cfg = SimConfig(T=row + 1, seed=row)
+    if domain == "count":
+        panel = na.simulate_count(ModelSpec.linear((1.0, 0.3, 0.2), "count"), net,
+                                  na.CopulaSpec("identity"), cfg)
+    else:
+        panel = na.simulate_gaussian(ModelSpec.linear((1.5, 0.4, 0.5), "cont"), net, cfg)
+    return panel, lagged_design(panel, net)[2]
+
+
+# rows of 11, 12 and 399 cells put the interpolation fraction gamma of the 10 and
+# 90 percent quantiles at (0, 0), (0.1, 0.9) and (0.8, 0.2)
+@pytest.mark.parametrize("row", [11, 12, 399])
+@pytest.mark.parametrize("domain", ["count", "cont"])
+def test_one_sort_quantiles_equal_numpy(small_net, row, domain):
+    _, x = _lagged_panel(small_net, row, domain)
+    assert np.array_equal(np.stack(_node_quantiles(x)), np.quantile(x, (0.10, 0.90), axis=1))
+
+
+@pytest.mark.filterwarnings("ignore:dropped .* threshold grid point")
+@pytest.mark.parametrize("row", [11, 12, 399])
+@pytest.mark.parametrize("domain", ["count", "cont"])
+def test_comparison_bins_equal_searchsorted(small_net, row, domain):
+    # grid points on attained values, where a tied cell is not below the point,
+    # and the default grid's points between them
+    panel, x = _lagged_panel(small_net, row, domain)
+    grid = np.unique(np.concatenate([np.unique(x)[::7],
+                                     default_grid("tnar", panel, small_net).values]))
+    assert np.array_equal(_tnar_bins(grid, x), np.searchsorted(grid, x, side="left"))
 
 
 # profile ------------------------------------------------------------------------

@@ -151,6 +151,29 @@ def test_ols_rejects_rank_deficiency():
         ols_fit_linear(panel, net)
 
 
+# the shared score kernel ------------------------------------------------------
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+@pytest.mark.parametrize("shape", [(7, 100), (64, 128), (80, 256)],
+                         ids=["under-one-block", "one-block", "2.5-blocks"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+def test_score_parts_equals_dense_reference(m, shape, weighted, rs):
+    # the curvature is summed over blocks of qmle._CURV_BLOCK cells; N(T-1) of
+    # 700, 8192 and 20480 cells is less than one block, one block and 2.5 blocks
+    assert qmle._CURV_BLOCK == 8192
+    cols = rs.uniform(0.5, 2.0, (m,) + shape)
+    weight = rs.uniform(-1.0, 3.0, shape)
+    curv = rs.uniform(0.1, 2.0, shape) if weighted else None
+    # drift-like second derivatives in the upper triangle, one off the diagonal
+    second = (((0, 3, rs.uniform(-1.0, 0.0, shape)), (3, 3, rs.uniform(0.0, 1.0, shape)))
+              if m > 3 else None)
+    s_t, hess = qmle._score_parts(cols, weight, curv, second)
+    ref_s, ref_h = reference.score_parts(cols, weight, curv, second or ())
+    assert np.abs(s_t - ref_s).max() <= 1e-12 * np.abs(ref_s).max()
+    assert np.abs(hess - ref_h).max() <= 1e-12 * np.abs(ref_h).max()
+    assert np.array_equal(hess, hess.T)
+
+
 # outer-product and sandwich -----------------------------------------------------
 
 def test_opg_matches_naive_per_time_loop(small_net, count_panel):
