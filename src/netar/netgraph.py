@@ -53,6 +53,13 @@ class Network:
         return int(self.edges.shape[0])
 
 
+def _unique_pairs(e: np.ndarray, n: int) -> np.ndarray:
+    """Distinct rows of an (E, 2) array of indices in [0, n), in lexicographic
+    order: the integer key i*n + j orders as the pair (i, j) does."""
+    i, j = np.divmod(np.unique(e[:, 0] * n + e[:, 1]), n)
+    return np.column_stack([i, j])
+
+
 def row_normalize(edges, n: int) -> Network:
     """Build a Network from a directed edge set.
 
@@ -73,11 +80,10 @@ def row_normalize(edges, n: int) -> Network:
     if np.any(e[:, 0] == e[:, 1]):
         raise ValueError("self-loops are not allowed")
 
-    if e.shape[0]:
-        unique = np.unique(e, axis=0)
-        if unique.shape[0] < e.shape[0]:
-            warnings.warn(f"removed {e.shape[0] - unique.shape[0]} duplicate edge(s)")
-        e = unique
+    unique = _unique_pairs(e, n)
+    if unique.shape[0] < e.shape[0]:
+        warnings.warn(f"removed {e.shape[0] - unique.shape[0]} duplicate edge(s)")
+    e = unique
 
     deg = np.bincount(e[:, 0], minlength=n).astype(np.int64)
     zero = np.flatnonzero(deg == 0)
@@ -141,7 +147,9 @@ def undirected(edges) -> np.ndarray:
     """Expand undirected pairs into both directed orientations, deduplicated."""
     e = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                    dtype=np.int64).reshape(-1, 2)
-    return np.unique(np.vstack([e, e[:, ::-1]]), axis=0)
+    if e.min(initial=0) < 0:
+        raise ValueError("edge indices must be nonnegative")
+    return _unique_pairs(np.vstack([e, e[:, ::-1]]), int(e.max(initial=0)) + 1)
 
 
 def load_edges(path) -> Network:

@@ -1,7 +1,8 @@
 """Quasi-maximum-likelihood estimation for network autoregressions.
 
 Count panels are fitted by maximizing the working Poisson likelihood
-(contemporaneous independence), continuous panels by least squares.  Both
+(contemporaneous independence), continuous panels by least squares through
+the corrected semi-normal equations on the Gram matrix of _score_parts.  Both
 report the sandwich covariance H^-1 B H^-1, where H is the observed
 Hessian of the quasi-likelihood and B the outer product of per-time score
 contributions; B captures the cross-sectional dependence the working
@@ -45,8 +46,8 @@ __all__ = [
 _LOWER = 1e-8          # box lower bound for count-domain coordinates
 _LAM_FLOOR = 1e-12     # intensities below this signal an inadmissible theta
 _MAX_ITER = 200        # Newton iterations of qmle_fit
-_SCORE_TOL = 1e-6      # converged when max|score| < _SCORE_TOL * (number of cells)
-_STEP_TOL = 1e-9       # ... or when a step moves every coordinate less than this
+_SCORE_TOL = 1e-6      # converged when max|projected score| < _SCORE_TOL * (number of cells)
+_STEP_TOL = 1e-9       # Newton stops when a step moves every coordinate less than this
 _CURV_BLOCK = 1 << 13  # cells per column block of the curvature sum
 
 
@@ -188,30 +189,36 @@ def sandwich_cov(hessian: np.ndarray, opg: np.ndarray):
 
 
 def ols_fit_linear(panel: Panel, net: Network) -> FitResult:
-    """Closed-form least squares of Y_t on (1, X_{t-1}, Y_{t-1})."""
+    """Least squares of Y_t on Z = (1, X_{t-1}, Y_{t-1}) by the corrected
+    semi-normal equations (Bjorck 1987): G theta = Z'y with the Gram matrix
+    G = Z'Z of _score_parts, then one step theta += G^-1 Z'(y - Z theta)
+    from the data's residual.  Z is rank deficient when a column is zero or
+    the column-scaled G has an eigenvalue at most 1e-12 times its largest."""
     y_now, y_lag, x_lag = lagged_design(panel, net)
     if panel.t < 3:
         raise ValueError("least squares needs T >= 3")
-    n, tm1 = y_now.shape
-    design = np.column_stack(
-        [np.ones(n * tm1), x_lag.ravel(order="F"), y_lag.ravel(order="F")])
-    yvec = y_now.ravel(order="F")
-    theta, _, rank, _ = np.linalg.lstsq(design, yvec, rcond=None)
-    if rank < 3:
+    cols = np.stack([np.ones_like(x_lag), x_lag, y_lag])
+    s_y, gram = _score_parts(cols, y_now)
+    scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+    # a zero column of Z keeps a zero row in the scaled matrix: eigenvalue 0
+    eig, vec = np.linalg.eigh(gram / np.where(scale > 0, scale, 1.0))
+    if not eig[0] > 1e-12 * eig[-1]:
         raise ValueError("design matrix is rank deficient")
-
-    spec = ModelSpec.linear(theta, domain="cont")
-    resid = y_now - mean_elementwise(spec, x_lag, y_lag)
-    s_t, hess = _score_parts(jac_elementwise(spec, x_lag, y_lag), resid)
+    gram_inv = (vec / eig) @ vec.T / scale
+    theta = gram_inv @ s_y.sum(axis=0)
+    resid = y_now - np.tensordot(theta, cols, axes=1)
+    theta += gram_inv @ np.einsum("ant,nt->a", cols, resid)
+    resid = y_now - np.tensordot(theta, cols, axes=1)
+    s_t = np.einsum("ant,nt->ta", cols, resid)
     opg = s_t.T @ s_t
-    cov, se, jitter = sandwich_cov(hess, opg)
-    sigma2 = float(np.mean(resid * resid))
+    cov, se, jitter = sandwich_cov(gram, opg)
+    rss = float(np.vdot(resid, resid))
     return FitResult(
-        theta_hat=theta, loglik=float(-0.5 * np.sum(resid * resid)),
-        score_at_opt=s_t.sum(axis=0), hessian=hess, opg=opg, cov=cov, se=se,
+        theta_hat=theta, loglik=-0.5 * rss,
+        score_at_opt=s_t.sum(axis=0), hessian=gram, opg=opg, cov=cov, se=se,
         iterations=1, converged=True, method="OLS", family="linear",
-        domain="cont", sigma2_hat=sigma2, jitter_applied=jitter,
-        n_obs=n * tm1)
+        domain="cont", sigma2_hat=rss / resid.size, jitter_applied=jitter,
+        n_obs=y_now.size)
 
 
 def _default_start(panel: Panel, spec: ModelSpec) -> np.ndarray:
@@ -225,9 +232,11 @@ def _default_start(panel: Panel, spec: ModelSpec) -> np.ndarray:
 def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitResult:
     """Newton iterations with step halving for the working Poisson likelihood.
 
-    Count-domain coordinates are projected onto [_LOWER, inf); convergence
-    is declared when max|score| < _SCORE_TOL * (number of cells) or the
-    step collapses below _STEP_TOL, within _MAX_ITER iterations.  Scores
+    Count-domain coordinates are projected onto [_LOWER, inf).  Newton stops
+    when max|score| < _SCORE_TOL * (number of cells), when a step moves every
+    coordinate less than _STEP_TOL, when no halving ascends or after
+    _MAX_ITER iterations; converged means the projected score (zero where a
+    coordinate at _LOWER has its score pointing out) is below that.  Scores
     and curvature are formed once per accepted iterate, with the weights
     in two reused buffers; the derivative stack is built once when the
     mean is linear in its estimable coordinates (every family but drift).
@@ -265,10 +274,8 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
 
     s_t, hess, score = parts_at(theta, lam)
     jitter_total = 0
-    converged = False
     for iters in range(1, _MAX_ITER + 1):
         if np.max(np.abs(score)) < _SCORE_TOL * n_obs:
-            converged = True
             break
         step, jitter = _ridge_solve(hess, score)
         jitter_total += jitter
@@ -286,11 +293,11 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
         theta, ll, lam = cand, ll_new, lam_new
         s_t, hess, score = parts_at(theta, lam)
         if moved < _STEP_TOL:
-            converged = True
             break
 
-    if not converged and np.max(np.abs(score)) < _SCORE_TOL * n_obs:
-        converged = True
+    # a coordinate on the bound whose score points out of the box is stationary
+    projected = np.where((theta <= _LOWER) & (score < 0), 0.0, score)
+    converged = bool(np.max(np.abs(projected)) < _SCORE_TOL * n_obs)
     opg = s_t.T @ s_t
     cov, se, jitter = sandwich_cov(hess, opg)
     if not converged:

@@ -41,6 +41,14 @@ def lsq_loglik(values, w, theta):
     return float(-0.5 * np.sum(resid * resid))
 
 
+def least_squares(values, w):
+    """Least squares of Y_t on (1, X_{t-1}, Y_{t-1}) by np.linalg.lstsq on the
+    stacked (N(T-1), 3) design.  Returns (theta, design, response)."""
+    y_now, x, y = lagged(values, w)
+    design = np.column_stack([np.ones(y_now.size), x.ravel(), y.ravel()])
+    return np.linalg.lstsq(design, y_now.ravel(), rcond=None)[0], design, y_now.ravel()
+
+
 def four_term_sigma(hess, opg, m1):
     """Covariance of the partial score at the constrained fit,
     B22 - A B12 - B21 A' + A B11 A' with A = H21 H11^-1, from the full

@@ -303,10 +303,14 @@ def test_identity_copula_uniform_marginals_and_zero_correlation():
     u = draw_copula_uniform(CopulaSpec("identity"), 4, gen, rows=100_000)
     for j in range(4):
         assert stats.kstest(u[:, j], "uniform").pvalue > 0.001
-    z = ndtri(u)
-    corr = np.corrcoef(z.T)
-    off = corr[~np.eye(4, dtype=bool)]
-    assert np.max(np.abs(off)) < 3.0 / np.sqrt(100_000)
+    # under independence sqrt(n) times the six pairwise correlations are
+    # asymptotically independent N(0, 1), so n * sum corr^2 is chi-square with
+    # 6 degrees of freedom.  Its 0.5% bound (18.55) and the four KS tests at
+    # 0.1% each fail a correct sampler with probability at most 0.9% in all.
+    # An exchangeable copula with rho = 0.02 puts the statistic near
+    # 6 n rho^2 = 240
+    corr = np.corrcoef(ndtri(u).T)[np.triu_indices(4, 1)]
+    assert 100_000 * np.sum(corr ** 2) < stats.chi2.isf(0.005, 6)
 
 
 def test_ar1_copula_correlations():

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,48 @@ def test_duplicate_edges_deduplicated_with_warning():
     with pytest.warns(UserWarning, match="duplicate"):
         net = row_normalize([(0, 1), (0, 1), (1, 0)], 2)
     assert net.n_edges == 2
+
+
+def _row_sort_network(edges, n):
+    """Edges, out-degrees and CSR arrays of W with the duplicates dropped by
+    np.unique(axis=0), a sort of whole rows."""
+    e = np.unique(edges, axis=0) if len(edges) else np.empty((0, 2), dtype=np.int64)
+    deg = np.bincount(e[:, 0], minlength=n)
+    data = np.repeat(np.divide(1.0, deg, out=np.zeros(n), where=deg > 0), deg)
+    return e, deg, data, e[:, 1], np.concatenate([[0], np.cumsum(deg)])
+
+
+def _assert_row_sort_network(edges, n):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        net = row_normalize(edges, n)
+    want = _row_sort_network(np.asarray(edges, dtype=np.int64).reshape(-1, 2), n)
+    for got, ref in zip((net.edges, net.out_degree, net.w.data, net.w.indices, net.w.indptr),
+                        want):
+        assert np.array_equal(got, ref)
+    removed = len(edges) - len(want[0])
+    assert [str(w.message) for w in caught if "duplicate" in str(w.message)] == (
+        [f"removed {removed} duplicate edge(s)"] if removed else [])
+
+
+@pytest.mark.parametrize("n", [30, 200, 500])
+@pytest.mark.parametrize("generator", ["sbm", "er"])
+def test_deduplication_matches_a_row_sort(generator, n):
+    # the integer keys i*n + j order as the pairs (i, j) do, so each network
+    # equals the row-sort reference bit for bit: as generated, and shuffled
+    # with a quarter of its edges repeated
+    rs = np.random.default_rng(n)
+    for seed in range(20):
+        net = na.gen_sbm(n, 5, seed=seed) if generator == "sbm" else na.gen_er(n, seed=seed)
+        _assert_row_sort_network(net.edges, n)
+        repeats = net.edges[rs.integers(0, net.n_edges, size=net.n_edges // 4)]
+        _assert_row_sort_network(rs.permutation(np.vstack([net.edges, repeats])), n)
+
+
+def test_deduplication_of_small_and_empty_edge_lists():
+    for edges, n in (([], 1), ([], 4), ([(2, 0), (0, 2), (2, 0), (1, 0)], 3),
+                     ([(0, 1)] * 5, 2)):
+        _assert_row_sort_network(edges, n)
 
 
 def test_index_out_of_range_rejected():
@@ -131,6 +174,12 @@ def test_undirected_expansion():
     from netar.netgraph import undirected
     both = undirected([(0, 1), (1, 2), (2, 1)])
     assert both.tolist() == [[0, 1], [1, 0], [1, 2], [2, 1]]
+    pairs = np.random.default_rng(4).integers(0, 40, size=(300, 2))
+    assert np.array_equal(undirected(pairs),
+                          np.unique(np.vstack([pairs, pairs[:, ::-1]]), axis=0))
+    assert undirected([]).shape == (0, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        undirected([(-1, 0)])
     net = row_normalize(both, 3)
     adj = (net.w.toarray() > 0)
     assert np.array_equal(adj, adj.T)

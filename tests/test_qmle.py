@@ -147,8 +147,41 @@ def test_ols_sigma2_is_mean_squared_residual(small_net, cont_panel):
 def test_ols_rejects_rank_deficiency():
     net = _two_node_net()
     panel = Panel(np.ones((2, 10)))  # constant series: X, Y columns collinear
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rank deficient"):
         ols_fit_linear(panel, net)
+
+
+def test_ols_rejects_an_edgeless_graph():
+    with pytest.warns(UserWarning, match="zero out-degree"):
+        net = na.row_normalize([], 5)
+    panel = Panel(np.random.default_rng(3).standard_normal((5, 20)))  # X = 0
+    with pytest.raises(ValueError, match="rank deficient"):
+        ols_fit_linear(panel, net)
+
+
+@pytest.mark.parametrize("n", [30, 200])
+@pytest.mark.parametrize("b1, b2", [(0.2, 0.3), (0.4, 0.5), (0.4, 0.59), (0.0, 0.999)],
+                         ids=["sum-0.5", "sum-0.9", "sum-0.99", "b2-0.999"])
+def test_ols_matches_the_least_squares_oracle(n, b1, b2):
+    # lstsq on the stacked design is the oracle.  The normal equations alone
+    # are off by up to about 1e-6 (relative) near the unit root, where the
+    # column-scaled Gram matrix reaches a condition number near 1e7; the
+    # corrected step must bring theta within 1e-10 and keep b2 = 0.999 inside
+    # the rank rule
+    net = na.gen_sbm(n, 2, seed=61)
+    spec = ModelSpec.linear((1.0, b1, b2), "cont")
+    for seed in range(3):
+        panel = na.simulate_gaussian(spec, net, SimConfig(T=200, burn_in=0, seed=seed,
+                                                          init="stationary"))
+        fit = ols_fit_linear(panel, net)
+        theta, design, response = reference.least_squares(panel.values, net.w)
+        assert np.max(np.abs(fit.theta_hat - theta)) <= 1e-10 * np.max(np.abs(theta))
+        gram = design.T @ design
+        assert np.max(np.abs(fit.hessian - gram)) <= 1e-12 * np.max(np.abs(gram))
+        rss = np.sum((response - design @ fit.theta_hat) ** 2)
+        assert fit.loglik == pytest.approx(-0.5 * rss, rel=1e-12)
+        assert fit.sigma2_hat == pytest.approx(rss / response.size, rel=1e-12)
+        assert fit.n_obs == response.size
 
 
 # the shared score kernel ------------------------------------------------------
@@ -280,6 +313,25 @@ def test_qmle_parts_equal_the_shared_kernel_at_theta_hat(n, structure, rho, fami
             assert fit.loglik == pytest.approx(
                 reference.poisson_loglik(panel.values, net.w, fit.theta_hat), rel=1e-14)
         assert knob != "_MAX_ITER" or fit.iterations == 1
+        # converged means the score is below tolerance once the entries of
+        # coordinates on the bound that point out of the box are dropped
+        free = np.where((fit.theta_hat <= qmle._LOWER) & (fit.score_at_opt < 0), 0.0,
+                        fit.score_at_opt)
+        assert not fit.converged or np.max(np.abs(free)) < 1e-6 * fit.n_obs
+
+
+def test_qmle_collapsed_step_on_the_bound_is_not_converged():
+    # the Newton steps of this stnar fit collapse with the rate g pinned at the
+    # 1e-8 bound while the scores of the free coordinates are thousands of
+    # times the tolerance
+    net = na.gen_sbm(30, 2, seed=31)
+    panel = na.simulate_count(_FIT_SPECS["linear"], net, na.CopulaSpec("identity"),
+                              SimConfig(T=150, burn_in=100, seed=700))
+    with pytest.warns(UserWarning, match="did not converge"):
+        fit = qmle_fit(panel, net, _FIT_SPECS["stnar"])
+    assert not fit.converged and fit.iterations < qmle._MAX_ITER
+    assert fit.theta_hat[3] == qmle._LOWER
+    assert np.max(np.abs(fit.score_at_opt[:3])) > 1000 * 1e-6 * fit.n_obs
 
 
 def test_qmle_permutation_invariance(small_net, count_panel, rs):
