@@ -17,10 +17,13 @@ Each step takes event rows only until every node's arrival time has passed
 its own lam_i, in chunks whose first size follows lam_max.  A panel reads
 those rows off its stream in blocks of about _EVENT_BLOCK cells (one
 copula draw and one log per block, see _EventRows) and hands each step its
-chunks in order.  The rows are read off the stream in order, so neither
-chunk nor block sizes change the counts: every step consumes the rows a
-public copula_poisson_draw would, and a panel draws less than one block
-more rows than it consumes.
+chunks in order.  A panel step reads exactly max(Y) + 1 rows: it hands the
+unread rest of its last chunk back, and the next step starts there.  That
+count is a stopping time of the i.i.d. rows, so the rows after it are fresh
+and the law is unchanged.  A draw from a bare Generator reads whole chunks.
+The rows are read off the stream in order, so neither chunk nor block
+sizes change the counts, and a panel draws less than one block more rows
+than it consumes while its chunks are shorter than a block.
 """
 
 from __future__ import annotations
@@ -332,7 +335,10 @@ class _EventRows:
     Rows are drawn in blocks of at least ``block`` rows (one
     draw_copula_uniform call and one log each) and handed out by take() in
     order, so the rows a caller takes do not depend on the block size.
-    block=0 draws exactly the rows each take asks for.
+    give_back(k) returns the last k rows taken, which the next take hands
+    out again; a refill keeps the unread rows and the new block in one
+    buffer, so that works across blocks.  block=0 draws exactly the rows
+    each take asks for beyond those held.
     """
 
     def __init__(self, cop: CopulaSpec, n: int, gen: np.random.Generator, block: int):
@@ -340,15 +346,18 @@ class _EventRows:
         self.buf, self.pos = np.empty((0, n)), 0
 
     def take(self, k: int) -> np.ndarray:
-        """The next k rows as a k x n array the caller may overwrite."""
+        """The next k rows as a k x n view the caller must not overwrite."""
         left = self.buf.shape[0] - self.pos
-        if k <= left:
-            self.pos += k
-            return self.buf[self.pos - k:self.pos]
-        head = self.buf[self.pos:]
-        buf = draw_copula_uniform(self.cop, self.n, self.gen, rows=max(self.block, k - left))
-        self.buf, self.pos = np.log(buf, out=buf), k - left
-        return np.concatenate((head, buf[:k - left])) if left else buf[:k]
+        if k > left:
+            buf = draw_copula_uniform(self.cop, self.n, self.gen, rows=max(self.block, k - left))
+            np.log(buf, out=buf)
+            self.buf, self.pos = np.concatenate((self.buf[self.pos:], buf)) if left else buf, 0
+        self.pos += k
+        return self.buf[self.pos - k:self.pos]
+
+    def give_back(self, k: int) -> None:
+        """Return the last k rows taken to the front of the source."""
+        self.pos -= k
 
 
 def copula_poisson_draw(lam: np.ndarray, cop: CopulaSpec,
@@ -360,16 +369,17 @@ def copula_poisson_draw(lam: np.ndarray, cop: CopulaSpec,
     the copula, take inter-arrivals E_il = -log(U_il) and arrival times
     S_il = E_i1 + ... + E_il; Y_i counts the events with S_il <= lam_i.
     Node i's count is settled once S_il > lam_i, so the draw stops when that
-    holds at every node.  Events come in chunks: the first of
-    lam_max + 3 sqrt(lam_max) + 3 rows, each later one twice the last.  Each
-    chunk is one buffer holding log U, then -S (the running sum carried
-    over from the last chunk), compared with -lam in place.  Drawn from a
-    Generator, the chunks are exactly the rows taken from it;
+    holds at every node, after max(Y) + 1 rows.  Events come in chunks: the
+    first of lam_max + 3 sqrt(lam_max) + 3 rows, each later one twice the
+    last.  Each chunk's -S (the running sum of log U in row order, carried
+    over from the last chunk) is formed in a copy and compared with -lam.
+    Drawn from a Generator, the chunks are exactly the rows taken from it;
     simulate_count passes its panel's block source instead (see
-    _EventRows), which hands out the same rows.  The rows are read off the
-    stream in order, so the counts do not depend on the chunk or block
-    sizes, and two dependent-copula draws from the same stream state read
-    the same event rows: raising any lam_i can only raise Y_i.
+    _EventRows), which gets back the rows after the first max(Y) + 1.  The
+    rows are read off the stream in order, so the counts do not depend on
+    the chunk or block sizes, and two dependent-copula draws from the same
+    stream state read the same event rows: raising any lam_i can only raise
+    Y_i.
     """
     lam = np.asarray(lam, dtype=float)
     lam_min, lam_max = lam.min(initial=np.inf), lam.max(initial=0.0)
@@ -396,14 +406,14 @@ def copula_poisson_draw(lam: np.ndarray, cop: CopulaSpec,
             raise RuntimeError(
                 f"a draw at intensity {lam_max:.3g} would pass {cap} event rows of "
                 f"{n} nodes; intensities look explosive")
-        buf = rows.take(chunk)
-        buf[0] += neg_s
-        np.cumsum(buf, axis=0, out=buf)
-        counts += (buf >= neg_lam).sum(axis=0)
-        neg_s = buf[-1].copy()
+        s = rows.take(chunk).copy()  # the source's rows stay log U for give_back
+        s[0] += neg_s
+        np.cumsum(s, axis=0, out=s)
+        counts += (s >= neg_lam).sum(axis=0)
+        neg_s, drawn = s[-1], drawn + chunk
         if (neg_s < neg_lam).all():
+            rows.give_back(drawn - counts.max() - 1)  # the step read rows 1..max Y + 1
             return counts
-        drawn += chunk
         chunk *= 2
 
 

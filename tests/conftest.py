@@ -10,7 +10,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--full", action="store_true", default=False,
         help="also run the full-scale Monte Carlo cells (N=500, T=400, "
-             "S=1000); roughly 20 minutes extra")
+             "S=1000); roughly 7 minutes extra")
 
 
 def pytest_collection_modifyitems(config, items):

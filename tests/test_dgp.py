@@ -10,7 +10,7 @@ from scipy.special import ndtr, ndtri
 
 import netar as na
 from netar import rng
-from netar.dgp import (_EVENT_BLOCK, CopulaSpec, SimConfig, _apply_copula_factor,
+from netar.dgp import (_EVENT_BLOCK, CopulaSpec, SimConfig, _apply_copula_factor, _EventRows,
                        _warmup_steps, copula_poisson_draw, draw_copula_uniform,
                        simulate_count, simulate_gaussian, stationary_init_linear_gaussian)
 from netar.model import ModelSpec, cond_mean
@@ -561,39 +561,93 @@ def _circulant(n):
         return na.row_normalize(edges, n)
 
 
+def _long_draw_panel(spec, net, cop, cfg, rows):
+    """simulate_count's panel read off one long draw of ``rows`` event rows.
+
+    Each step sums log U in row order from its first row and reads rows until
+    every node has passed its lam_i; its counts are the rows before that, and
+    the next step starts right after it, max(Y) + 1 rows on.
+    """
+    log_u = np.log(draw_copula_uniform(cop, net.n, rng.stream(cfg.seed, 0xC0), rows=rows))
+    lam, start, steps = np.ones(net.n), 0, []
+    for _ in range(1 + cfg.burn_in + cfg.T):  # the start's draw, then the panel's steps
+        s = np.cumsum(log_u[start:], axis=0)
+        tau = np.flatnonzero((s < -lam).all(axis=1))[0] + 1
+        y = (s[:tau] >= -lam).sum(axis=0)
+        assert tau == y.max() + 1
+        steps.append(y)
+        start += tau
+        lam = cond_mean(spec, net, y.astype(float))
+    return np.array(steps[1:]).T[:, cfg.burn_in:]
+
+
 @pytest.mark.parametrize("structure, rho", [("ar1", 0.5), ("ar1", -0.7),
                                             ("exch", 0.3), ("exch", 0.9)])
-def test_count_panel_equals_step_by_step_public_draws(structure, rho, monkeypatch):
+def test_count_panel_equals_the_long_draw_reference(structure, rho, monkeypatch):
     # simulate_count reads its event rows off the stream in blocks of about
-    # _EVENT_BLOCK cells; each step still takes exactly the rows of the public
-    # draw, so the panel equals cond_mean plus copula_poisson_draw on one shared
-    # stream.  At n = 3000 a block holds 21 rows, fewer than a first chunk at
-    # lam_max >= 8, so chunks straddle blocks and some need more rows than a block
+    # _EVENT_BLOCK cells and each step hands back the rows of its last chunk
+    # that it did not read, so the panel equals one long draw of the panel's
+    # whole row budget read max(Y) + 1 rows per step.  At n = 3000 a block holds
+    # 21 rows, fewer than a first chunk at lam_max >= 8, so chunks straddle
+    # blocks, some need more rows than a block and hand-backs cross a refill
     spec = ModelSpec.linear((8.0, 0.3, 0.2), "count")
     cop = CopulaSpec(structure, rho)
-    drawn = []
+    drawn, straddled, take = [], [], _EventRows.take
 
     def recorded(cop, n, gen, rows=None):
         drawn.append(rows)
         return draw_copula_uniform(cop, n, gen, rows)
 
+    def recorded_take(source, k):
+        straddled.append(0 < source.buf.shape[0] - source.pos < k)
+        return take(source, k)
+
     monkeypatch.setattr("netar.dgp.draw_copula_uniform", recorded)
+    monkeypatch.setattr(_EventRows, "take", recorded_take)
     for n, T in ((1, 60), (7, 60), (200, 40), (3000, 5)):
         net = _circulant(n)
+        block = max(1, _EVENT_BLOCK // n)
         for burn in (0, 50):
             cfg = SimConfig(T=T, burn_in=burn, seed=n + burn)
-            gen = rng.stream(cfg.seed, 0xC0)
-            y, steps = copula_poisson_draw(np.ones(n), cop, gen), []
-            for _ in range(burn + T):
-                y = copula_poisson_draw(cond_mean(spec, net, y), cop, gen)
-                steps.append(y)
             drawn.clear()
+            straddled.clear()
             panel = simulate_count(spec, net, cop, cfg).values
-            assert np.array_equal(panel, np.array(steps).T[:, burn:])
-            block = max(1, _EVENT_BLOCK // n)
+            assert np.array_equal(panel, _long_draw_panel(spec, net, cop, cfg, sum(drawn)))
             assert min(drawn) >= block
             if n == 3000:
-                assert max(drawn) > block
+                assert any(straddled)
+        if n == 3000:
+            assert max(drawn) > block  # at burn-in 50, lam_max is near 16
+
+
+@pytest.mark.parametrize("n", [1, 40])
+def test_count_panel_steps_are_poisson_given_the_past(n):
+    # given the past, Y_it is exactly Poisson(lam_it), so the randomized PIT
+    # U_it = F(Y_it - 1) + V (F(Y_it) - F(Y_it - 1)), V uniform, makes one node's
+    # series i.i.d. U(0, 1); a step that re-read a row an earlier step had used
+    # would break that.  The nodes of one step are dependent, so the KS test
+    # reads node 0 alone (false alarm 0.25% at p > 0.0025).  The lag-1 products
+    # (U_t - 1/2)(U_t+1 - 1/2) are uncorrelated with variance 1/144, so each
+    # node's z = 12 sum / sqrt(m) is asymptotically standard normal; the mean
+    # over nodes has variance at most 1, and |z| < 3.03 fails with at most
+    # 0.245%.  Over both n, at most 0.99%
+    spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
+    cop = CopulaSpec("ar1", 0.6)
+    net = _circulant(n)
+    pit, z = [], []
+    for r in range(10):
+        y = simulate_count(spec, net, cop, SimConfig(T=1000 if n == 1 else 300, burn_in=50,
+                                                     seed=900 + r)).values
+        lam = np.column_stack([cond_mean(spec, net, col) for col in y[:, :-1].T])
+        y = y[:, 1:]
+        v = rng.stream(901, n, r).random(y.shape)
+        u = stats.poisson.cdf(y - 1, lam) + v * stats.poisson.pmf(y, lam)
+        pit.append(u[0])
+        z.append(((u[:, :-1] - 0.5) * (u[:, 1:] - 0.5)).sum(axis=1))
+    pit = np.concatenate(pit)
+    assert stats.kstest(pit, "uniform").pvalue > 0.0025
+    lag1 = 12.0 * np.sum(z, axis=0) / np.sqrt(10 * (y.shape[1] - 1))
+    assert abs(lag1.mean()) < 3.03
 
 
 # count simulation ---------------------------------------------------------------

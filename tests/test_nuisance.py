@@ -254,11 +254,18 @@ def test_subnormal_score_covariance_dropped(small_net, cont_panel):
 
 
 def test_profile_h0_calibration_count():
+    # the mean of S statistics at each of the 10 grid points must lie within 0.3
+    # of 1.  2700 draws (S = 900 from seeds 6200, 7100 and 8000) read pooled
+    # point means 0.97-1.03 and variances 1.80-2.05, and one range of 450 or 900
+    # draws variances up to 2.6 (heavy tails), so each point's mean is taken,
+    # with room, as a gamma law of mean 1.05 and variance 2.5 / S.  At S = 450
+    # it leaves (0.7, 1.3) with probability 0.084%, and by the union bound over
+    # the 10 points the test fails a correct program with at most 0.84%
     net = na.gen_sbm(30, 2, seed=61)
     spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
     grid = default_grid("stnar")
     draws = []
-    for r in range(150):
+    for r in range(450):
         panel = na.simulate_count(spec, net, na.CopulaSpec("ar1", 0.5),
                                   SimConfig(T=300, seed=6200 + r))
         prof = lm_profile(panel, net, "stnar", grid, "count")
