@@ -18,7 +18,8 @@ qmle._score_parts.  The statistic uses the unprojected partial score
 fit because the linear-block score vanishes there); the projection of
 the linear block lives in Sigma.  The statistic is ||S^-1 V' partial||^2
 from the thin SVD E = U S V' of the effective scores, so Sigma is never
-inverted; _whiten and _null_design also serve the profile tests of nuisance.
+inverted; _whiten and _null_design, which takes the design and fitted mean
+from the null fit, also serve the profile tests of nuisance.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .dgp import Panel
-from .model import ModelSpec, mean_elementwise
+from .model import ModelSpec
 from .netgraph import Network
-from .qmle import FitResult, _quasi_parts, lagged_design, ols_fit_linear, qmle_fit
+from .qmle import FitResult, _quasi_parts, ols_fit_linear, qmle_fit
 
 __all__ = [
     "ScoreTestResult",
@@ -51,18 +52,15 @@ def chi2_sf(x: float, df: int) -> float:
 
 def _null_design(panel: Panel, net: Network, domain: str):
     """The linear null fitted to the panel (QMLE for counts, least squares
-    for continuous data), the lagged design (y_now, y_lag, x_lag) and the
-    null mean lam at the fit.  The QMLE starts at qmle_fit's default
-    (0.6 mean(Y), 0.2, 0.2); the spec below names the family only."""
+    for continuous data), and the lagged design (y_now, y_lag, x_lag) and
+    null mean lam (positive for counts) that the fit hands over.  The QMLE
+    starts at qmle_fit's default (0.6 mean(Y), 0.2, 0.2); the spec below
+    names the family only."""
     null_fit = (qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2), "count"))
                 if domain == "count" else ols_fit_linear(panel, net))
     if not null_fit.converged:
         raise RuntimeError("null fit did not converge")
-    y_now, y_lag, x_lag = lagged_design(panel, net)
-    lam = mean_elementwise(ModelSpec.linear(null_fit.theta_hat, domain), x_lag, y_lag)
-    if domain == "count" and lam.min() <= 0:
-        raise RuntimeError("fitted intensities are not positive")
-    return null_fit, (y_now, y_lag, x_lag), lam
+    return null_fit, null_fit.design, null_fit.fitted
 
 
 def _whiten(effective: np.ndarray):

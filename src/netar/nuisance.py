@@ -9,13 +9,15 @@ where h is the family's nonlinear regressor block:
     stnar  h_it(g) = exp(-g * X^2) * X                       (one column)
     tnar   h_it(g) = (1, X, Y) * 1{X <= g}                   (three columns)
 
-The linear block (scores of 1, X, Y and curvature H11) does not depend
-on g and is computed once; stnar forms only h(g) at each grid point, and
-tnar reads every point's s_t^(2)(g) and H12(g) from cumulative sums over
-one binning of the cells.  The curvature projects the linear block out of
-every per-time score; the outer product of these effective scores E(g) is
-the score covariance Sigma(g).  lintest._whiten factors E = U S V', so the
-statistic is ||U'1||^2 and Sigma(g) is never inverted.
+The weights come from the lagged design and fitted mean the null fit hands
+over.  The linear block (scores of 1, X, Y and curvature H11) does not
+depend on g and is computed once; stnar forms only h(g) at each grid
+point, and tnar reads every point's s_t^(2)(g) and H12(g) from cumulative
+sums over one binning of the cells, read in blocks of node rows.  The
+curvature projects the linear block out of every per-time score; the
+outer product of these effective scores E(g) is the score covariance
+Sigma(g).  lintest._whiten factors E = U S V', so the statistic is
+||U'1||^2 and Sigma(g) is never inverted.
 
 The supremum or average of the profile is calibrated either by the Davies
 upper bound (scalar smooth nuisance only) or by Hansen's multiplier
@@ -38,7 +40,7 @@ from .dgp import Panel
 from .lintest import _null_design, _whiten, chi2_sf
 from .model import _h_columns
 from .netgraph import Network
-from .qmle import FitResult, _score_parts, _weights, lagged_design
+from .qmle import _CURV_BLOCK, FitResult, _score_parts, _weights, lagged_design
 from .qmle import ols_fit_linear, qmle_fit  # noqa: F401  (names perfbench traces)
 
 __all__ = [
@@ -158,9 +160,10 @@ def _whitened_stat(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.square(np.swapaxes(u, 1, 2) @ w).sum(axis=1)
 
 
-def _stnar_blocks(grid, x, y, resid, curf):
+def _stnar_blocks(grid, x, y, y_now, lam, domain):
     """The linear block s_t^(1), H11, then stacked over the grid: whether
     h(g) = exp(-g X^2) X is nonzero, and its s_t^(2) and H12."""
+    resid, curf = _weights(domain, y_now, lam)
     z1 = np.stack([np.ones_like(x), x, y])
     zc = (z1 if curf is None else z1 * curf).reshape(3, -1)
     parts = []
@@ -180,27 +183,34 @@ def _tnar_bins(grid, x):
     return bins
 
 
-def _tnar_blocks(grid, x, y, resid, curf):
+def _tnar_blocks(grid, x, y, y_now, lam, domain):
     """As _stnar_blocks for the columns (1, X, Y) * 1{X <= g}.  A cell is in
     bin b <= j exactly when X <= g_j, so cumulative sums over the bins give
-    every masked sum (the last bin's: the linear block).
+    every masked sum (the last bin's: the linear block).  The cells are read
+    in blocks of whole node rows, about _CURV_BLOCK cells each, so no array
+    of the panel's size is formed; np.add.at adds a block's weights into the
+    sums cell after cell, which rounds as one np.bincount over all cells.
     The point is degenerate if every cell counts (the indicator is the
     intercept) or no counted cell has X != 0 or Y != 0."""
-    num, tm1 = grid.size, x.shape[1]
-    bins = _tnar_bins(grid, x)
-
-    def cum(idx, weights, rows=1):      # (rows, G+1) sums over the cells with b <= j
-        sums = np.bincount(idx.ravel(), None if weights is None else weights.ravel(),
-                           rows * (num + 1))
-        return np.cumsum(sums.reshape(rows, num + 1), axis=1)
-
-    by_time = bins + (num + 1) * np.arange(tm1)
-    s = np.stack([cum(by_time, w, tm1).T for w in (resid, resid * x, resid * y)], axis=-1)
-    cx, cy = (x, y) if curf is None else (curf * x, curf * y)
-    h = np.stack([cum(bins, w)[0] for w in (curf, cx, cy, cx * x, cx * y, cy * y)])
-    h = h[[0, 1, 2, 1, 3, 4, 2, 4, 5]].T.reshape(num + 1, 3, 3)
-    lo = max(np.where(v != 0, bins, num).min() for v in (x, y))
-    ok = (np.arange(num) >= lo) & (np.arange(num) < bins.max())
+    num, (n, tm1) = grid.size, x.shape
+    by_time, by_bin = np.zeros((3, tm1 * (num + 1))), np.zeros((6, num + 1))
+    lo, top, rows = np.array([num, num]), 0, max(1, _CURV_BLOCK // tm1)
+    for i in range(0, n, rows):
+        xb, yb = x[i:i + rows], y[i:i + rows]
+        resid, curf = _weights(domain, y_now[i:i + rows], lam[i:i + rows])
+        bins = _tnar_bins(grid, xb)
+        cells = (bins + (num + 1) * np.arange(tm1)).ravel()
+        for acc, v in zip(by_time, (None, xb, yb)):       # acc[cells] += w in cell order
+            np.add.at(acc, cells, (resid if v is None else resid * v).ravel())
+        cx, cy = (xb, yb) if curf is None else (curf * xb, curf * yb)
+        pairs = [(curf, None), (cx, None), (cy, None), (cx, xb), (cx, yb), (cy, yb)]
+        for acc, (a, b) in zip(by_bin, pairs):            # curf None: unit weight
+            np.add.at(acc, bins.ravel(), 1.0 if a is None else (a if b is None else a * b).ravel())
+        lo = np.minimum(lo, [np.where(v != 0, bins, num).min() for v in (xb, yb)])
+        top = max(top, bins.max())
+    s = np.stack([c.T for c in np.cumsum(by_time.reshape(3, tm1, num + 1), axis=2)], axis=-1)
+    h = np.cumsum(by_bin, axis=1)[[0, 1, 2, 1, 3, 4, 2, 4, 5]].T.reshape(num + 1, 3, 3)
+    ok = (np.arange(num) >= lo.max()) & (np.arange(num) < top)
     return s[num], h[num], ok, s[:num], h[:num]
 
 
@@ -208,22 +218,22 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
                domain: str) -> LMProfile:
     """Quasi-score statistic at each grid point of the nuisance rate.
 
-    The linear null is fitted to the panel (see lintest._null_design); it
-    and the linear block are shared across grid points.  Count panels use quasi-Poisson score weights (Y/lam - 1) and
-    Y/lam^2 curvature weights; continuous panels use raw residuals and
-    unweighted curvature.  Each point's statistic is ||U'1||^2 from the SVD
-    of its effective scores E = U S V', whose outer product is the score
-    covariance.  Degenerate grid points (vanishing or collinear nonlinear
-    regressors, subnormal or singular covariance) are dropped with a
-    warning rather than failing the whole profile.
+    The linear null is fitted to the panel and hands over its lagged design
+    and fitted mean (see lintest._null_design); they and the linear block
+    are shared across grid points.  Count panels use quasi-Poisson score
+    weights (Y/lam - 1) and Y/lam^2 curvature weights, continuous panels raw
+    residuals and unit curvature, formed per row block for tnar.  Each
+    point's statistic is ||U'1||^2 from the SVD of its effective scores
+    E = U S V', whose outer product is the score covariance.  Degenerate
+    grid points (vanishing or collinear nonlinear regressors, subnormal or
+    singular covariance) are dropped with a warning rather than failing
+    the whole profile.
     """
     if family not in ("stnar", "tnar"):
         raise ValueError("profiled testing applies to the stnar and tnar families")
     null_fit, (y_now, y_lag, x_lag), lam = _null_design(panel, net, domain)
-    resid, curf = _weights(domain, y_now, lam)
-
     s1, h11, ok, s2, h12 = (_tnar_blocks if family == "tnar" else _stnar_blocks)(
-        grid.values, x_lag, y_lag, resid, curf)
+        grid.values, x_lag, y_lag, y_now, lam, domain)
     k2 = s2.shape[-1]
     why = np.where(ok, "", "degenerate nonlinear regressors").astype(object)
     try:

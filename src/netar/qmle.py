@@ -53,7 +53,9 @@ _CURV_BLOCK = 1 << 13  # cells per column block of the curvature sum
 
 @dataclass
 class FitResult:
-    """Estimate, curvature matrices and sandwich standard errors."""
+    """Estimate, curvature matrices and sandwich standard errors, with the
+    lagged design (y_now, y_lag, x_lag) the fit ran on and the mean fitted
+    at theta_hat, which the linearity tests read (to_dict omits both)."""
 
     theta_hat: np.ndarray
     loglik: float
@@ -70,6 +72,8 @@ class FitResult:
     sigma2_hat: Optional[float] = None
     jitter_applied: int = 0
     n_obs: int = 0
+    design: Optional[tuple] = None
+    fitted: Optional[np.ndarray] = None
 
     def to_dict(self) -> dict:
         return {
@@ -218,7 +222,8 @@ def ols_fit_linear(panel: Panel, net: Network) -> FitResult:
         score_at_opt=s_t.sum(axis=0), hessian=gram, opg=opg, cov=cov, se=se,
         iterations=1, converged=True, method="OLS", family="linear",
         domain="cont", sigma2_hat=rss / resid.size, jitter_applied=jitter,
-        n_obs=y_now.size)
+        n_obs=y_now.size, design=(y_now, y_lag, x_lag),
+        fitted=mean_elementwise(ModelSpec.linear(theta, "cont"), x_lag, y_lag))
 
 
 def _default_start(panel: Panel, spec: ModelSpec) -> np.ndarray:
@@ -306,4 +311,5 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
         theta_hat=theta, loglik=ll, score_at_opt=score, hessian=hess,
         opg=opg, cov=cov, se=se, iterations=iters, converged=converged,
         method="QMLE", family=spec.family, domain="count",
-        jitter_applied=jitter_total + jitter, n_obs=n_obs)
+        jitter_applied=jitter_total + jitter, n_obs=n_obs,
+        design=(y_now, y_lag, x_lag), fitted=lam)

@@ -122,3 +122,30 @@ def drift_statistic(values, w, beta):
                             ((0, 3, -log1x), (3, 3, beta[0] * log1x ** 2)))
     eff = s_t[:, 3] - s_t[:, :3] @ np.linalg.solve(hess[:3, :3], hess[:3, 3])
     return float(eff.sum() ** 2 / (eff @ eff))
+
+
+def tnar_sums(grid, x, y, resid, curf=None):
+    """The tnar profile's sums in one pass over all cells: the linear block
+    s_t^(1) ((T-1) x 3) and H11, whether each grid point is non-degenerate,
+    and s_t^(2) and H12 of (1, X, Y) 1{X <= g} at every point.  Each cell's
+    bin is the number of grid points strictly below its X; one np.bincount
+    per weight sums the cells of each bin (and time), and a cumulative sum
+    over the bins gives every masked sum, the last bin's being the whole
+    panel.  curf None is unit curvature weight.  A point is degenerate if
+    every cell counts or no counted cell has X != 0 or Y != 0."""
+    num, tm1 = grid.size, x.shape[1]
+    bins = np.searchsorted(grid, x, side="left")
+
+    def cum(idx, weights, rows=1):
+        sums = np.bincount(idx.ravel(), None if weights is None else weights.ravel(),
+                           rows * (num + 1))
+        return np.cumsum(sums.reshape(rows, num + 1), axis=1)
+
+    by_time = bins + (num + 1) * np.arange(tm1)
+    s = np.stack([cum(by_time, w, tm1).T for w in (resid, resid * x, resid * y)], axis=-1)
+    cx, cy = (x, y) if curf is None else (curf * x, curf * y)
+    h = np.stack([cum(bins, w)[0] for w in (curf, cx, cy, cx * x, cx * y, cy * y)])
+    h = h[[0, 1, 2, 1, 3, 4, 2, 4, 5]].T.reshape(num + 1, 3, 3)
+    lo = max(np.where(v != 0, bins, num).min() for v in (x, y))
+    ok = (np.arange(num) >= lo) & (np.arange(num) < bins.max())
+    return s[num], h[num], ok, s[:num], h[:num]

@@ -8,7 +8,7 @@ from netar.dgp import Panel, SimConfig
 from netar.lintest import _whiten, chi2_sf, lm_test
 from netar.model import ModelSpec, mean_elementwise
 from netar.nuisance import GammaGrid, _tnar_blocks, default_grid, lm_profile
-from netar.qmle import _quasi_parts, _weights, lagged_design
+from netar.qmle import _quasi_parts, lagged_design
 import reference
 from reference import four_term_sigma
 
@@ -81,6 +81,21 @@ def test_lm_test_basic_output_contract(small_net, cont_panel, count_panel):
         assert res.df == 1
         assert res.method == "chi2"
         assert res.null_fit.converged
+
+
+@pytest.mark.parametrize("domain", ["count", "cont"])
+def test_lm_test_builds_the_design_once(small_net, request, monkeypatch, domain):
+    # the null fit builds the design and hands it, with its fitted mean, to the test
+    calls = []
+
+    def counted(panel, net):
+        calls.append(panel)
+        return lagged_design(panel, net)
+
+    monkeypatch.setattr("netar.qmle.lagged_design", counted)
+    lm_test(request.getfixturevalue(f"{domain}_panel"), small_net,
+            ModelSpec.drift((1.0, 0.2, 0.2), 0.0, domain))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("family, domain, grid", [
@@ -244,8 +259,7 @@ def test_sigma_matches_long_double_outer_product(small_net, count_panel, cont_pa
     grid = np.array([0.5 * (cells[-5] + cells[-4])])
     prof = lm_profile(count_panel, small_net, "tnar", GammaGrid(grid), "count")
     lam = mean_elementwise(ModelSpec.linear(prof.null_fit.theta_hat, "count"), x_lag, y_lag)
-    resid, curf = _weights("count", y_now, lam)
-    s1, h11, _, s2, h12 = _tnar_blocks(grid, x_lag, y_lag, resid, curf)
+    s1, h11, _, s2, h12 = _tnar_blocks(grid, x_lag, y_lag, y_now, lam, "count")
     sigma, total = _long_double_sigma(s1, h11, s2[0], h12[0])
     lm = total @ _solve_ld(sigma, total[:, None])[:, 0]
     assert abs(prof.lm[0] - lm) <= 1e-11 * lm

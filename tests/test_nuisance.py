@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -13,8 +14,8 @@ from netar.model import ModelSpec, _h_columns, mean_elementwise
 from netar.nuisance import (GammaGrid, LMProfile, _node_quantiles, _tnar_bins, _tnar_blocks,
                             aggregate, davies_pvalue, default_grid, lm_profile,
                             run_profile_test, score_bootstrap)
-from netar.qmle import _score_parts, _weights, lagged_design
-from reference import four_term_sigma
+from netar.qmle import _CURV_BLOCK, _score_parts, _weights, lagged_design
+from reference import four_term_sigma, tnar_sums
 
 
 def _profile_from(lm_values, family="stnar"):
@@ -107,6 +108,92 @@ def test_comparison_bins_equal_searchsorted(small_net, row, domain):
     grid = np.unique(np.concatenate([np.unique(x)[::7],
                                      default_grid("tnar", panel, small_net).values]))
     assert np.array_equal(_tnar_bins(grid, x), np.searchsorted(grid, x, side="left"))
+
+
+# row blocks of the tnar pass ------------------------------------------------------
+
+def _tnar_case(case, domain, small_net, request):
+    """(x_lag, y_lag, y_now) of a case; y_lag and y_now are the panel's
+    non-contiguous column views."""
+    if case == "fixture":
+        return lagged_design(request.getfixturevalue(f"{domain}_panel"), small_net)[::-1]
+    n, t = case
+    if n == 3:          # complete graph: X is the average of the other two nodes
+        rs = np.random.default_rng(t)
+        v = rs.poisson(3.0, (n, t)).astype(float) if domain == "count" else rs.normal(size=(n, t))
+        y_now, y_lag = v[:, 1:], v[:, :-1]
+        return 0.5 * (y_lag[[1, 2, 0]] + y_lag[[2, 0, 1]]), y_lag, y_now
+    net = na.gen_sbm(n, 5, seed=n)
+    panel, _ = _lagged_panel(net, t - 1, domain)
+    return lagged_design(panel, net)[::-1]
+
+
+# (N, T) and the number of row blocks of up to _CURV_BLOCK cells: the fixtures
+# fit in one block, N=500 fills 25 blocks of 20 rows, N=507 leaves a last block
+# of 7 rows, and a row of 8300 cells is longer than a block, so each is one
+@pytest.mark.parametrize("domain", ["count", "cont"])
+@pytest.mark.parametrize("case, blocks", [("fixture", 1), ((500, 400), 25), ((507, 400), 26),
+                                          ((3, 8301), 3)])
+def test_row_blocks_equal_the_one_pass_oracle(small_net, request, case, blocks, domain):
+    x, y, y_now = _tnar_case(case, domain, small_net, request)
+    assert -(-x.shape[0] // max(1, _CURV_BLOCK // x.shape[1])) == blocks
+    lam = 0.5 + 0.3 * x + 0.2 * y
+    # grid points below and above the observed X (degenerate), on attained
+    # values and between them
+    xs = np.unique(x)
+    grid = np.unique(np.concatenate([[xs[0] - 1.0, xs[-1] + 1.0], xs[::max(1, xs.size // 6)],
+                                     np.quantile(x, [0.3, 0.7])]))
+    if domain == "count":
+        resid, curf = y_now / lam - 1.0, y_now / (lam * lam)
+    else:
+        resid, curf = y_now - lam, None
+    got = _tnar_blocks(grid, x, y, y_now, lam, domain)
+    want = tnar_sums(grid, x, y, resid, curf)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    ok = got[2]
+    assert not ok[0] and not ok[-1] and ok.any()
+
+
+def test_tnar_pass_forms_no_panel_sized_array():
+    # N=500, T=400: a block holds 20 rows of 399 cells (7980 <= 2^13), 64 KB per
+    # float or index array.  About eight such arrays live at once (two weights,
+    # the bins and their per-time cell index, two curvature products, one
+    # product and np.add.at's buffers), 0.5 MB, beside the (3, 399 x 11)
+    # per-time sums, 105 KB, and at the end their cumulative sums and the
+    # stacked scores, 2 x 105 KB: under 0.9 MB (0.75 MB measured with numpy
+    # 2.4).  One float array of all 199 500 cells alone holds 1.6 MB.
+    net = na.gen_sbm(500, 5, seed=500)
+    panel, _ = _lagged_panel(net, 399, "count")
+    y_now, y_lag, x_lag = lagged_design(panel, net)
+    lam = 0.5 + 0.3 * x_lag + 0.2 * y_lag
+    grid = default_grid("tnar", panel, net).values
+    tracemalloc.start()
+    try:
+        _tnar_blocks(grid, x_lag, y_lag, y_now, lam, "count")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.filterwarnings("ignore:dropped .* threshold grid point")
+@pytest.mark.parametrize("domain", ["count", "cont"])
+def test_profile_test_builds_the_design_once(small_net, request, monkeypatch, domain):
+    # the null fit builds the design and hands it to the profile; with an
+    # explicit grid nothing else needs it
+    calls = []
+
+    def counted(panel, net):
+        calls.append(panel)
+        return lagged_design(panel, net)
+
+    monkeypatch.setattr("netar.qmle.lagged_design", counted)
+    monkeypatch.setattr("netar.nuisance.lagged_design", counted)
+    panel = request.getfixturevalue(f"{domain}_panel")
+    grid = default_grid("tnar", panel, small_net)
+    calls.clear()
+    run_profile_test(panel, small_net, "tnar", domain, grid=grid, method="bootstrap", reps=9)
+    assert len(calls) == 1
 
 
 # profile ------------------------------------------------------------------------
@@ -318,7 +405,7 @@ def test_ill_conditioned_tnar_point_matches_exact_lm(small_net, cont_panel):
     assert np.array_equal(prof.grid, grid.values)
     y_now, y_lag, x_lag = lagged_design(cont_panel, small_net)
     lam = mean_elementwise(ModelSpec.linear(prof.null_fit.theta_hat, "cont"), x_lag, y_lag)
-    s1, h11, _, s2, h12 = _tnar_blocks(grid.values, x_lag, y_lag, *_weights("cont", y_now, lam))
+    s1, h11, _, s2, h12 = _tnar_blocks(grid.values, x_lag, y_lag, y_now, lam, "cont")
     effective = s2 - s1 @ np.linalg.solve(h11, h12)
     assert np.linalg.cond(effective[-1]) ** 2 > 1e10
     lm = _exact_lm(effective[-1])

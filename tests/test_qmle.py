@@ -320,6 +320,22 @@ def test_qmle_parts_equal_the_shared_kernel_at_theta_hat(n, structure, rho, fami
         assert not fit.converged or np.max(np.abs(free)) < 1e-6 * fit.n_obs
 
 
+@pytest.mark.filterwarnings("ignore:QMLE did not converge")
+def test_fits_hand_over_their_design_and_fitted_mean(small_net, count_panel, cont_panel):
+    # what the linearity tests read instead of building it again, bit for bit
+    specs = (ModelSpec.linear((1.0, 0.2, 0.2), "count"),
+             ModelSpec.tnar((0.5, 0.2, 0.2), (0.3, 0.1, 0.0), 1.5, "count"))
+    fits = [(count_panel, sp, qmle_fit(count_panel, small_net, sp)) for sp in specs]
+    fits.append((cont_panel, ModelSpec.linear((0.0, 0.0, 0.0), "cont"),
+                 ols_fit_linear(cont_panel, small_net)))
+    for panel, spec, fit in fits:
+        y_now, y_lag, x_lag = design = lagged_design(panel, small_net)
+        assert all(np.array_equal(a, b) for a, b in zip(fit.design, design))
+        lam = mean_elementwise(spec.with_active(fit.theta_hat), x_lag, y_lag)
+        assert np.array_equal(fit.fitted, lam)
+        assert not {"design", "fitted"} & fit.to_dict().keys()
+
+
 def test_qmle_collapsed_step_on_the_bound_is_not_converged():
     # the Newton steps of this stnar fit collapse with the rate g pinned at the
     # 1e-8 bound while the scores of the free coordinates are thousands of
