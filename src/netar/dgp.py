@@ -4,10 +4,11 @@ Continuous panels follow Y_t = lam_t + xi_t with i.i.d. Gaussian errors;
 the linear family can start in its stationary Gaussian law, reached by
 warm-up steps of the linear recursion Y <- b0 + (b1 W + b2 I) Y + s xi.
 
-Count panels have exact Poisson(lam_i) marginals.  Under an independent
-copula (identity, or rho = 0) the nodes are independent and each step is
-one Generator.poisson draw.  A dependent copula (AR-1 or exchangeable)
-goes through a Gaussian-copula waiting-time construction: unit-exponential
+Count panels have exact Poisson(lam_i) marginals.  Each step makes one
+copula_poisson_draw, which alone checks lam.  Under an independent copula
+(identity, or rho = 0) the nodes are independent and the draw is one
+Generator.poisson call.  A dependent copula (AR-1 or exchangeable) goes
+through a Gaussian-copula waiting-time construction: unit-exponential
 inter-arrival times are built from copula uniforms and each Y_i counts the
 arrivals falling in [0, lam_i], so the copula induces cross-sectional
 dependence while every marginal stays Poisson.  The copula's Cholesky
@@ -19,11 +20,11 @@ those rows off its stream in blocks of about _EVENT_BLOCK cells (one
 copula draw and one log per block, see _EventRows) and hands each step its
 chunks in order.  A panel step reads exactly max(Y) + 1 rows: it hands the
 unread rest of its last chunk back, and the next step starts there.  That
-count is a stopping time of the i.i.d. rows, so the rows after it are fresh
-and the law is unchanged.  A draw from a bare Generator reads whole chunks.
-The rows are read off the stream in order, so neither chunk nor block
-sizes change the counts, and a panel draws less than one block more rows
-than it consumes while its chunks are shorter than a block.
+count is a stopping time of the i.i.d. rows, so the rows after it are
+fresh and the law is unchanged.  A draw from a bare Generator reads whole
+chunks.  The rows are read off the stream in order, so neither chunk nor
+block sizes change the counts, and a panel draws less than one block more
+rows than it consumes while its chunks are shorter than a block.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import rng
-from .model import ModelSpec, cond_mean, mean_elementwise, stability_check
+from .model import ModelSpec, mean_elementwise, stability_check
+from .model import cond_mean  # noqa: F401  (name perfbench traces)
 from .netgraph import Network
 
 __all__ = [
@@ -371,8 +373,8 @@ def copula_poisson_draw(lam: np.ndarray, cop: CopulaSpec,
     Node i's count is settled once S_il > lam_i, so the draw stops when that
     holds at every node, after max(Y) + 1 rows.  Events come in chunks: the
     first of lam_max + 3 sqrt(lam_max) + 3 rows, each later one twice the
-    last.  Each chunk's -S (the running sum of log U in row order, carried
-    over from the last chunk) is formed in a copy and compared with -lam.
+    last.  Each chunk's -S (the running sum of log U in row order) is
+    compared with -lam; a later chunk carries the last one's sum in a copy.
     Drawn from a Generator, the chunks are exactly the rows taken from it;
     simulate_count passes its panel's block source instead (see
     _EventRows), which gets back the rows after the first max(Y) + 1.  The
@@ -398,17 +400,18 @@ def copula_poisson_draw(lam: np.ndarray, cop: CopulaSpec,
         return counts
 
     rows = gen if isinstance(gen, _EventRows) else _EventRows(cop, n, gen, 0)
-    cap = _event_cap(lam_max, n)
-    neg_lam, neg_s = -lam, np.zeros(n)  # -S after the rows drawn so far
+    cap, neg_lam = _event_cap(lam_max, n), -lam
     chunk, drawn = int(lam_max + 3.0 * np.sqrt(lam_max)) + 3, 0
     while True:
         if drawn + chunk > cap:
             raise RuntimeError(
                 f"a draw at intensity {lam_max:.3g} would pass {cap} event rows of "
                 f"{n} nodes; intensities look explosive")
-        s = rows.take(chunk).copy()  # the source's rows stay log U for give_back
-        s[0] += neg_s
-        np.cumsum(s, axis=0, out=s)
+        s = rows.take(chunk)  # a view: the source's rows stay log U for give_back
+        if drawn:  # carry over -S after the rows drawn so far, in a copy
+            s = s.copy()
+            s[0] += neg_s
+        s = np.cumsum(s, axis=0, out=s if drawn else None)
         counts += (s >= neg_lam).sum(axis=0)
         neg_s, drawn = s[-1], drawn + chunk
         if (neg_s < neg_lam).all():
@@ -419,11 +422,11 @@ def copula_poisson_draw(lam: np.ndarray, cop: CopulaSpec,
 
 def simulate_count(spec: ModelSpec, net: Network, cop: CopulaSpec,
                    cfg: SimConfig) -> Panel:
-    """Count-panel recursion lam_t = cond_mean(Y_{t-1}), Y_t ~ copula-Poisson.
+    """Count-panel recursion lam_t = lam(W Y_{t-1}, Y_{t-1}), Y_t ~ copula-Poisson.
 
     The intensity starts at cfg.init (all ones by default, per the
     burn-in-and-discard convention) and the first cfg.burn_in columns are
-    dropped.
+    dropped.  A step raises RuntimeError when its draw rejects lam.
     """
     if spec.domain != "count":
         raise ValueError("simulate_count requires a count-domain spec")
@@ -434,6 +437,7 @@ def simulate_count(spec: ModelSpec, net: Network, cop: CopulaSpec,
             f"{verdict.condition_value:.3f}); simulation may drift")
 
     init = _resolve_init(cfg.init, net.n, "count")
+    cop.check_dimension(net.n)  # here: the step loop reads a ValueError as a bad intensity
     lam0 = np.ones(net.n) if isinstance(init, str) else init
     gen = rng.stream(cfg.seed, 0xC0)
     if not cop.is_independent:  # one event-row source per panel, blocks of _EVENT_BLOCK cells
@@ -443,10 +447,11 @@ def simulate_count(spec: ModelSpec, net: Network, cop: CopulaSpec,
     total = cfg.burn_in + cfg.T
     out = np.empty((net.n, total))
     for t in range(total):
-        lam = cond_mean(spec, net, y)
-        if not -np.inf < lam.min() <= lam.max() < np.inf:  # NaN fails too
+        lam = mean_elementwise(spec, net.w @ y, y)
+        try:  # the draw's own check is the step's one intensity check
+            y = copula_poisson_draw(lam, cop, gen).astype(float)
+        except ValueError as exc:
             raise RuntimeError(
-                f"non-finite intensity at step {t}; parameters look explosive")
-        y = copula_poisson_draw(lam, cop, gen).astype(float)
+                f"non-finite intensity at step {t}; parameters look explosive") from exc
         out[:, t] = y
     return Panel(out[:, cfg.burn_in:])

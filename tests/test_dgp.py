@@ -13,7 +13,7 @@ from netar import rng
 from netar.dgp import (_EVENT_BLOCK, CopulaSpec, SimConfig, _apply_copula_factor, _EventRows,
                        _warmup_steps, copula_poisson_draw, draw_copula_uniform,
                        simulate_count, simulate_gaussian, stationary_init_linear_gaussian)
-from netar.model import ModelSpec, cond_mean
+from netar.model import ModelSpec, cond_mean, mean_elementwise
 from netar.netgraph import Network
 
 
@@ -683,6 +683,29 @@ def test_independent_copula_panel_draws_no_copula_uniforms(small_net, monkeypatc
                           panel)
 
 
+@pytest.mark.parametrize("spec", [
+    ModelSpec.linear((1.0, 0.3, 0.2), "count"),
+    ModelSpec.drift((1.0, 0.3, 0.2), 0.5, "count"),
+    ModelSpec.stnar((0.5, 0.3, 0.2), 0.4, 1.0, "count"),
+    ModelSpec.tnar((0.5, 0.3, 0.2), (0.5, 0.1, 0.0), 1.2, "count"),
+], ids=lambda spec: spec.family)
+def test_independent_copula_panel_equals_the_direct_draw_reference(spec):
+    # an independent copula draws each step with one Generator.poisson call
+    # on the count stream, at the mean of the last step's counts
+    for n in (1, 7, 200):
+        net = _circulant(n)
+        for burn in (0, 50):
+            cfg = SimConfig(T=40, burn_in=burn, seed=3 * n + burn)
+            gen = rng.stream(cfg.seed, 0xC0)
+            y, steps = gen.poisson(np.ones(n)).astype(float), []
+            for _ in range(burn + cfg.T):
+                y = gen.poisson(cond_mean(spec, net, y)).astype(float)
+                steps.append(y)
+            reference = np.array(steps).T[:, burn:]
+            for cop in (CopulaSpec("identity"), CopulaSpec("ar1", 0.0)):
+                assert np.array_equal(simulate_count(spec, net, cop, cfg).values, reference)
+
+
 def test_count_long_run_mean(small_net):
     spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
     panel = simulate_count(spec, small_net, CopulaSpec("identity"),
@@ -707,20 +730,30 @@ def test_count_simulation_rejects_a_non_finite_intensity(small_net, bad, monkeyp
     # start draw), under the direct and the waiting-time draw alike
     calls = []
 
-    def spoiled(spec, net, y):
-        lam = cond_mean(spec, net, y)
+    def spoiled(spec, x, y):
+        lam = mean_elementwise(spec, x, y)
         calls.append(None)
         if len(calls) == 4:
             lam[4] = bad
         return lam
 
-    monkeypatch.setattr("netar.dgp.cond_mean", spoiled)
+    monkeypatch.setattr("netar.dgp.mean_elementwise", spoiled)
     spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
     for cop in (CopulaSpec("identity"), CopulaSpec("exch", 0.3)):
         calls.clear()
         with pytest.raises(RuntimeError,
                            match=r"^non-finite intensity at step 3; parameters look explosive$"):
             simulate_count(spec, small_net, cop, SimConfig(T=10, burn_in=0, seed=2))
+
+
+def test_count_simulation_rejects_a_singular_copula_before_any_step(small_net):
+    # from a zero start the start draw reads no copula rows, so the dimension
+    # check must not wait for the first step's draw, whose ValueError the step
+    # loop reports as a bad intensity
+    spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
+    cop = CopulaSpec("exch", -2.0 / small_net.n)
+    with pytest.raises(ValueError, match="not positive definite"):
+        simulate_count(spec, small_net, cop, SimConfig(T=5, burn_in=0, seed=1, init=0.0))
 
 
 def test_unstable_count_parameters_warn(small_net):
