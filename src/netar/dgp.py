@@ -25,6 +25,12 @@ fresh and the law is unchanged.  A draw from a bare Generator reads whole
 chunks.  The rows are read off the stream in order, so neither chunk nor
 block sizes change the counts, and a panel draws less than one block more
 rows than it consumes while its chunks are shorter than a block.
+
+Both simulators form each step's neighbour average W y with
+_neighbour_average, which calls the compiled CSR product that net.w @ y
+ends in, so the sums are the same without scipy.sparse's per-call
+dispatch.  Each writes its steps as the rows of a time-major (steps, N)
+buffer and returns one C-contiguous transposed copy as the panel.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.sparse import _sparsetools
 from scipy.special import ndtr
 
 from . import rng
@@ -176,6 +183,17 @@ class SimConfig:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
+def _neighbour_average(w, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """W y for the CSR matrix w, written into the length-N buffer out.
+
+    csr_matvec is the routine w @ y calls, so the sums are the same; it adds
+    into its output, so out is zero-filled first.  Returns out.
+    """
+    out.fill(0.0)
+    _sparsetools.csr_matvec(*w.shape, w.indptr, w.indices, w.data, y, out)
+    return out
+
+
 def _warmup_steps(b1: float, b2: float) -> int:
     """Least K at which sum_{j<K} G^j sigma*xi_j omits at most _TAIL_TOL*sigma^2.
 
@@ -262,7 +280,9 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
     """Continuous-panel recursion Y_t = lam(W Y_{t-1}, Y_{t-1}) + sigma*xi_t.
 
     lam is the mean of the embedded linear model during the warm-up steps
-    and spec's mean after them.
+    and spec's mean after them.  Each step forms W Y_{t-1} with
+    _neighbour_average in one reused buffer; the stored steps are the rows
+    of a time-major buffer whose transposed copy is the C-contiguous panel.
 
     Initialization modes (the noise is drawn in blocks of _NOISE_ROWS steps):
       "stationary"        stationary Gaussian start, linear family only, no
@@ -293,16 +313,16 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
 
     total = warm + burn + cfg.T
     linear = ModelSpec.linear(spec.beta, "cont")
-    out = np.empty((net.n, burn + cfg.T))
+    out, x = np.empty((burn + cfg.T, net.n)), np.empty(net.n)
     noise = None
     for t in range(total):
         if cfg.sigma > 0 and t % _NOISE_ROWS == 0:
             noise = cfg.sigma * gen.standard_normal((min(_NOISE_ROWS, total - t), net.n))
-        lam = mean_elementwise(linear if t < warm else spec, net.w @ y, y)
+        lam = mean_elementwise(linear if t < warm else spec, _neighbour_average(net.w, y, x), y)
         y = lam if noise is None else lam + noise[t % _NOISE_ROWS]
         if t >= warm:
-            out[:, t - warm] = y
-    return Panel(out[:, burn:])
+            out[t - warm] = y
+    return Panel(out[burn:].T.copy())
 
 
 def draw_copula_uniform(cop: CopulaSpec, n: int, gen: np.random.Generator,
@@ -426,7 +446,10 @@ def simulate_count(spec: ModelSpec, net: Network, cop: CopulaSpec,
 
     The intensity starts at cfg.init (all ones by default, per the
     burn-in-and-discard convention) and the first cfg.burn_in columns are
-    dropped.  A step raises RuntimeError when its draw rejects lam.
+    dropped.  A step raises RuntimeError when its draw rejects lam.  Each
+    step forms W Y_{t-1} with _neighbour_average in one reused buffer and
+    writes Y_t as a row of a time-major buffer, whose transposed copy is
+    the C-contiguous panel.
     """
     if spec.domain != "count":
         raise ValueError("simulate_count requires a count-domain spec")
@@ -445,13 +468,13 @@ def simulate_count(spec: ModelSpec, net: Network, cop: CopulaSpec,
 
     y = copula_poisson_draw(lam0, cop, gen).astype(float)
     total = cfg.burn_in + cfg.T
-    out = np.empty((net.n, total))
+    out, x = np.empty((total, net.n)), np.empty(net.n)
     for t in range(total):
-        lam = mean_elementwise(spec, net.w @ y, y)
+        lam = mean_elementwise(spec, _neighbour_average(net.w, y, x), y)
         try:  # the draw's own check is the step's one intensity check
-            y = copula_poisson_draw(lam, cop, gen).astype(float)
+            out[t] = copula_poisson_draw(lam, cop, gen)
         except ValueError as exc:
             raise RuntimeError(
                 f"non-finite intensity at step {t}; parameters look explosive") from exc
-        out[:, t] = y
-    return Panel(out[:, cfg.burn_in:])
+        y = out[t]
+    return Panel(out[cfg.burn_in:].T.copy())

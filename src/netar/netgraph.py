@@ -55,8 +55,13 @@ class Network:
 
 def _unique_pairs(e: np.ndarray, n: int) -> np.ndarray:
     """Distinct rows of an (E, 2) array of indices in [0, n), in lexicographic
-    order: the integer key i*n + j orders as the pair (i, j) does."""
-    i, j = np.divmod(np.unique(e[:, 0] * n + e[:, 1]), n)
+    order: the integer key i*n + j orders as the pair (i, j) does.  The keys
+    are sorted and the first of each run of equal keys is kept (np.unique
+    takes a slower hash path on integers)."""
+    keys = np.sort(e[:, 0] * n + e[:, 1])
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    i, j = np.divmod(keys[first], n)
     return np.column_stack([i, j])
 
 

@@ -11,12 +11,13 @@ where h is the family's nonlinear regressor block:
 
 The weights come from the lagged design and fitted mean the null fit hands
 over.  The linear block (scores of 1, X, Y and curvature H11) does not
-depend on g and is computed once; stnar forms only h(g) at each grid
-point, and tnar reads every point's s_t^(2)(g) and H12(g) from cumulative
-sums over one binning of the cells, read in blocks of node rows.  The
-curvature projects the linear block out of every per-time score; the
-outer product of these effective scores E(g) is the score covariance
-Sigma(g).  lintest._whiten factors E = U S V', so the statistic is
+depend on g and is computed once: stnar takes it from the null fit, which
+formed it at the fitted mean, with the (1, X, Y) stack, and forms only
+h(g) at each grid point; tnar reads it and every point's s_t^(2)(g) and
+H12(g) from cumulative sums over one binning of the cells, read in blocks
+of node rows.  The curvature projects the linear block out of every
+per-time score; the outer product of these effective scores E(g) is the
+score covariance Sigma(g).  lintest._whiten factors E = U S V', so the statistic is
 ||U'1||^2 and Sigma(g) is never inverted.
 
 The supremum or average of the profile is calibrated either by the Davies
@@ -40,7 +41,7 @@ from .dgp import Panel
 from .lintest import _null_design, _whiten, chi2_sf
 from .model import _h_columns
 from .netgraph import Network
-from .qmle import _CURV_BLOCK, FitResult, _score_parts, _weights, lagged_design
+from .qmle import _CURV_BLOCK, FitResult, _weights, lagged_design
 from .qmle import ols_fit_linear, qmle_fit  # noqa: F401  (names perfbench traces)
 
 __all__ = [
@@ -160,18 +161,19 @@ def _whitened_stat(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.square(np.swapaxes(u, 1, 2) @ w).sum(axis=1)
 
 
-def _stnar_blocks(grid, x, y, y_now, lam, domain):
-    """The linear block s_t^(1), H11, then stacked over the grid: whether
-    h(g) = exp(-g X^2) X is nonzero, and its s_t^(2) and H12."""
-    resid, curf = _weights(domain, y_now, lam)
-    z1 = np.stack([np.ones_like(x), x, y])
+def _stnar_blocks(grid, fit: FitResult, domain):
+    """The linear block s_t^(1), H11 of the linear null fit, then stacked
+    over the grid: whether h(g) = exp(-g X^2) X is nonzero, and its s_t^(2)
+    and H12, with the fit's (1, X, Y) stack as the linear columns."""
+    (y_now, y, x), z1 = fit.design, fit.stack
+    resid, curf = _weights(domain, y_now, fit.fitted)
     zc = (z1 if curf is None else z1 * curf).reshape(3, -1)
     parts = []
     for gamma in grid:
         (h,) = _h_columns("stnar", gamma, x, y)
         hf = h.reshape(-1, 1)
         parts.append((h.any(), np.einsum("nt,nt->t", h, resid)[:, None], zc @ hf))
-    return (*_score_parts(z1, resid, curf), *map(np.array, zip(*parts)))
+    return (fit.scores, fit.hessian, *map(np.array, zip(*parts)))
 
 
 def _tnar_bins(grid, x):
@@ -219,21 +221,23 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     """Quasi-score statistic at each grid point of the nuisance rate.
 
     The linear null is fitted to the panel and hands over its lagged design
-    and fitted mean (see lintest._null_design); they and the linear block
-    are shared across grid points.  Count panels use quasi-Poisson score
-    weights (Y/lam - 1) and Y/lam^2 curvature weights, continuous panels raw
-    residuals and unit curvature, formed per row block for tnar.  Each
-    point's statistic is ||U'1||^2 from the SVD of its effective scores
-    E = U S V', whose outer product is the score covariance.  Degenerate
-    grid points (vanishing or collinear nonlinear regressors, subnormal or
-    singular covariance) are dropped with a warning rather than failing
-    the whole profile.
+    and fitted mean (see lintest._null_design), and for stnar its linear
+    block; they and the linear block are shared across grid points.  Count
+    panels use quasi-Poisson score weights (Y/lam - 1) and Y/lam^2
+    curvature weights, continuous panels raw residuals and unit curvature,
+    formed per row block for tnar.  Each point's statistic is ||U'1||^2
+    from the SVD of its effective scores E = U S V', whose outer product
+    is the score covariance.  Degenerate grid points (vanishing or
+    collinear nonlinear regressors, subnormal or singular covariance) are
+    dropped with a warning rather than failing the whole profile.
     """
     if family not in ("stnar", "tnar"):
         raise ValueError("profiled testing applies to the stnar and tnar families")
     null_fit, (y_now, y_lag, x_lag), lam = _null_design(panel, net, domain)
-    s1, h11, ok, s2, h12 = (_tnar_blocks if family == "tnar" else _stnar_blocks)(
-        grid.values, x_lag, y_lag, y_now, lam, domain)
+    if family == "tnar":
+        s1, h11, ok, s2, h12 = _tnar_blocks(grid.values, x_lag, y_lag, y_now, lam, domain)
+    else:
+        s1, h11, ok, s2, h12 = _stnar_blocks(grid.values, null_fit, domain)
     k2 = s2.shape[-1]
     why = np.where(ok, "", "degenerate nonlinear regressors").astype(object)
     try:

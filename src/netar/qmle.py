@@ -10,14 +10,15 @@ likelihood ignores.  Every family is fitted on one Newton path; its
 derivative stack is fixed unless the mean is curved in the estimable
 coordinates (drift), and its weights go to two reused buffers.
 
-The score and curvature sums here, in the drift test (lintest) and of
-the profile tests' linear block (nuisance) come from one private kernel,
-_score_parts: the unprojected per-time scores s_t and the curvature H of
-a derivative stack.  The tests' score covariance is the outer product
-of these scores with the linear block projected out.  The curvature is
-summed over column blocks of _CURV_BLOCK cells, each weighted as it is
-read: at paper scale (N(T-1) near 2e5 cells) no weighted copy of the
-stack is formed and each block's product runs on data in cache.
+The score and curvature sums here (the stnar profile in nuisance reads
+the null fit's as its linear block) and in the drift test (lintest) come
+from one private kernel, _score_parts: the unprojected per-time scores
+s_t and the curvature H of a derivative stack.  The tests' score
+covariance is the outer product of these scores with the linear block
+projected out.  The curvature is summed over column blocks of _CURV_BLOCK
+cells, each weighted as it is read: at paper scale (N(T-1) near 2e5
+cells) no weighted copy of the stack is formed and each block's product
+runs on data in cache.
 
 Time indexing: the first column of a panel conditions the recursion, so
 all sums run over the remaining T-1 time points.
@@ -53,9 +54,12 @@ _CURV_BLOCK = 1 << 13  # cells per column block of the curvature sum
 
 @dataclass
 class FitResult:
-    """Estimate, curvature matrices and sandwich standard errors, with the
-    lagged design (y_now, y_lag, x_lag) the fit ran on and the mean fitted
-    at theta_hat, which the linearity tests read (to_dict omits both)."""
+    """Estimate, curvature matrices and sandwich standard errors, with what
+    the linearity tests read (to_dict omits these four): the lagged design
+    (y_now, y_lag, x_lag) the fit ran on, the mean fitted at theta_hat, the
+    (m, N, T-1) derivative stack of the mean there ((1, X, Y) for the linear
+    null) and its (T-1) x m per-time scores at the fitted mean, whose
+    curvature is hessian."""
 
     theta_hat: np.ndarray
     loglik: float
@@ -74,6 +78,8 @@ class FitResult:
     n_obs: int = 0
     design: Optional[tuple] = None
     fitted: Optional[np.ndarray] = None
+    stack: Optional[np.ndarray] = None
+    scores: Optional[np.ndarray] = None
 
     def to_dict(self) -> dict:
         return {
@@ -197,7 +203,10 @@ def ols_fit_linear(panel: Panel, net: Network) -> FitResult:
     semi-normal equations (Bjorck 1987): G theta = Z'y with the Gram matrix
     G = Z'Z of _score_parts, then one step theta += G^-1 Z'(y - Z theta)
     from the data's residual.  Z is rank deficient when a column is zero or
-    the column-scaled G has an eigenvalue at most 1e-12 times its largest."""
+    the column-scaled G has an eigenvalue at most 1e-12 times its largest.
+    The final residual, behind the scores, the sandwich and the residual sum
+    of squares, is y - fitted with fitted the linear mean at theta_hat, the
+    residual the linearity tests use; Z is handed over as the stack."""
     y_now, y_lag, x_lag = lagged_design(panel, net)
     if panel.t < 3:
         raise ValueError("least squares needs T >= 3")
@@ -212,7 +221,8 @@ def ols_fit_linear(panel: Panel, net: Network) -> FitResult:
     theta = gram_inv @ s_y.sum(axis=0)
     resid = y_now - np.tensordot(theta, cols, axes=1)
     theta += gram_inv @ np.einsum("ant,nt->a", cols, resid)
-    resid = y_now - np.tensordot(theta, cols, axes=1)
+    fitted = mean_elementwise(ModelSpec.linear(theta, "cont"), x_lag, y_lag)
+    resid = y_now - fitted
     s_t = np.einsum("ant,nt->ta", cols, resid)
     opg = s_t.T @ s_t
     cov, se, jitter = sandwich_cov(gram, opg)
@@ -222,8 +232,8 @@ def ols_fit_linear(panel: Panel, net: Network) -> FitResult:
         score_at_opt=s_t.sum(axis=0), hessian=gram, opg=opg, cov=cov, se=se,
         iterations=1, converged=True, method="OLS", family="linear",
         domain="cont", sigma2_hat=rss / resid.size, jitter_applied=jitter,
-        n_obs=y_now.size, design=(y_now, y_lag, x_lag),
-        fitted=mean_elementwise(ModelSpec.linear(theta, "cont"), x_lag, y_lag))
+        n_obs=y_now.size, design=(y_now, y_lag, x_lag), fitted=fitted,
+        stack=cols, scores=s_t)
 
 
 def _default_start(panel: Panel, spec: ModelSpec) -> np.ndarray:
@@ -312,4 +322,4 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
         opg=opg, cov=cov, se=se, iterations=iters, converged=converged,
         method="QMLE", family=spec.family, domain="count",
         jitter_applied=jitter_total + jitter, n_obs=n_obs,
-        design=(y_now, y_lag, x_lag), fitted=lam)
+        design=(y_now, y_lag, x_lag), fitted=lam, stack=cols, scores=s_t)

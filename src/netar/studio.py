@@ -231,8 +231,11 @@ def run_mc_study(cfg: StudyConfig, threads: int = 1):
     to the per-replication statistic draws (for QQ-style diagnostics).
 
     Failed replications are excluded and counted; a scenario aborts if
-    more than 1 percent of its replications fail.
+    more than 1 percent of its replications fail.  threads is the worker
+    count, a positive integer (1 runs in this process).
     """
+    if not isinstance(threads, Integral) or threads < 1:
+        raise ValueError(f"threads must be a positive integer, got {threads!r}")
     rows: list[StudyRow] = []
     raw: dict[str, np.ndarray] = {}
     for s_idx, sc in enumerate(cfg.scenarios):

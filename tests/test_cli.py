@@ -117,6 +117,19 @@ def test_cli_mc_run(tmp_path, monkeypatch):
     assert env["OPENBLAS_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_cli_mc_run_rejects_a_worker_count_below_one(tmp_path, threads):
+    cfg_file = tmp_path / "study.json"
+    cfg_file.write_text(json.dumps({"scenarios": [{
+        "name": "demo", "network": {"model": "sbm", "k": 2}, "n": 15, "t": 50,
+        "domain": "cont", "reps": 2}]}))
+    out_file = tmp_path / "results.json"
+    with pytest.raises(ValueError, match=f"threads must be a positive integer, got {threads}"):
+        main(["mc", "run", "--config", str(cfg_file), "-o", str(out_file),
+              "--threads", threads, "--format", "json"])
+    assert not out_file.exists()
+
+
 def test_cli_version_and_bad_args(capsys):
     with pytest.raises(SystemExit):
         main(["--version"])

@@ -11,8 +11,9 @@ from scipy.special import ndtr, ndtri
 import netar as na
 from netar import rng
 from netar.dgp import (_EVENT_BLOCK, CopulaSpec, SimConfig, _apply_copula_factor, _EventRows,
-                       _warmup_steps, copula_poisson_draw, draw_copula_uniform,
-                       simulate_count, simulate_gaussian, stationary_init_linear_gaussian)
+                       _neighbour_average, _warmup_steps, copula_poisson_draw,
+                       draw_copula_uniform, simulate_count, simulate_gaussian,
+                       stationary_init_linear_gaussian)
 from netar.model import ModelSpec, cond_mean, mean_elementwise
 from netar.netgraph import Network
 
@@ -648,6 +649,37 @@ def test_count_panel_steps_are_poisson_given_the_past(n):
     assert stats.kstest(pit, "uniform").pvalue > 0.0025
     lag1 = 12.0 * np.sum(z, axis=0) / np.sqrt(10 * (y.shape[1] - 1))
     assert abs(lag1.mean()) < 3.03
+
+
+def test_neighbour_average_equals_the_sparse_product(tmp_path):
+    # both simulators form W y with the compiled CSR product that w @ y ends
+    # in; it adds into its output, so a buffer holding an earlier step's sums
+    # (garbage here) must be zero-filled first
+    path = tmp_path / "net.txt"
+    path.write_text("# nodes 6\n0 1\n1 2\n2 0\n0 3\n4 0\n4 1\n4 2\n")
+    with pytest.warns(UserWarning, match="zero out-degree"):
+        loaded = na.load_edges(path)                      # nodes 3 and 5 have zero rows
+    with pytest.warns(UserWarning, match="zero out-degree"):
+        single = na.row_normalize([], 1)
+    rs = np.random.default_rng(8)
+    for net in (loaded, single, na.gen_sbm(200, 5, seed=3), na.gen_er(40, seed=2)):
+        wide = rs.standard_normal((net.n, 3))
+        for y in (wide[:, 1], np.ascontiguousarray(wide[:, 2])):   # strided and contiguous
+            out = rs.standard_normal(net.n) * 1e3
+            assert _neighbour_average(net.w, y, out) is out
+            assert np.array_equal(out, net.w @ y)
+
+
+@pytest.mark.parametrize("burn_in", [0, 50])
+def test_simulators_return_c_contiguous_panels(small_net, burn_in):
+    cfg = SimConfig(T=40, burn_in=burn_in, seed=2)
+    panels = (simulate_gaussian(ModelSpec.linear((1.5, 0.4, 0.5), "cont"), small_net,
+                                SimConfig(T=40, burn_in=burn_in, seed=2, init=1.0)),
+              simulate_count(ModelSpec.linear((1.0, 0.3, 0.2), "count"), small_net,
+                             CopulaSpec("ar1", 0.5), cfg))
+    for panel in panels:
+        assert panel.values.shape == (small_net.n, 40)
+        assert panel.values.flags.c_contiguous
 
 
 # count simulation ---------------------------------------------------------------

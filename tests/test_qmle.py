@@ -9,8 +9,8 @@ import reference
 from netar import qmle
 from netar.dgp import Panel, SimConfig
 from netar.model import ModelSpec, mean_elementwise
-from netar.qmle import (_poisson_loglik, _quasi_parts, lagged_design, ols_fit_linear,
-                        qmle_fit, sandwich_cov)
+from netar.qmle import (_poisson_loglik, _quasi_parts, _score_parts, _weights, lagged_design,
+                        ols_fit_linear, qmle_fit, sandwich_cov)
 
 
 def _two_node_net():
@@ -334,6 +334,21 @@ def test_fits_hand_over_their_design_and_fitted_mean(small_net, count_panel, con
         lam = mean_elementwise(spec.with_active(fit.theta_hat), x_lag, y_lag)
         assert np.array_equal(fit.fitted, lam)
         assert not {"design", "fitted"} & fit.to_dict().keys()
+
+
+def test_null_fits_hand_over_their_linear_block(small_net, count_panel, cont_panel):
+    # the stnar profile reads the (1, X, Y) stack, its per-time scores at the
+    # fitted mean and their curvature from the null fit, so each must be the
+    # shared kernel's on the fit's design at its fitted mean, bit for bit
+    fits = (qmle_fit(count_panel, small_net, ModelSpec.linear((1.0, 0.2, 0.2), "count")),
+            ols_fit_linear(cont_panel, small_net))
+    for fit in fits:
+        y_now, y_lag, x_lag = fit.design
+        assert np.array_equal(fit.stack, np.stack([np.ones_like(x_lag), x_lag, y_lag]))
+        s_t, hess = _score_parts(fit.stack, *_weights(fit.domain, y_now, fit.fitted))
+        assert np.array_equal(fit.scores, s_t)
+        assert np.array_equal(fit.hessian, hess)
+        assert not {"stack", "scores"} & fit.to_dict().keys()
 
 
 def test_qmle_collapsed_step_on_the_bound_is_not_converged():

@@ -153,6 +153,15 @@ def test_bad_test_setting_rejected_before_simulation(test, match, monkeypatch):
         run_mc_study(_tiny_cfg(reps=2, test=test))
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_worker_count_below_one_rejected_before_any_network(threads, monkeypatch):
+    def no_networks(*args):
+        raise AssertionError("a network was drawn")
+    monkeypatch.setattr("netar.studio.gen_sbm", no_networks)
+    with pytest.raises(ValueError, match=f"threads must be a positive integer, got {threads}"):
+        run_mc_study(_tiny_cfg(reps=2), threads=threads)
+
+
 @pytest.mark.parametrize("extra, match", [
     ({"init": "stationry"}, "cont init must be one of"),
     ({"domain": "count", "init": "stationary"}, "count init must be one of"),
