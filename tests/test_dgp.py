@@ -672,11 +672,10 @@ def test_neighbour_average_equals_the_sparse_product(tmp_path):
 
 @pytest.mark.parametrize("burn_in", [0, 50])
 def test_simulators_return_c_contiguous_panels(small_net, burn_in):
-    cfg = SimConfig(T=40, burn_in=burn_in, seed=2)
     panels = (simulate_gaussian(ModelSpec.linear((1.5, 0.4, 0.5), "cont"), small_net,
                                 SimConfig(T=40, burn_in=burn_in, seed=2, init=1.0)),
               simulate_count(ModelSpec.linear((1.0, 0.3, 0.2), "count"), small_net,
-                             CopulaSpec("ar1", 0.5), cfg))
+                             CopulaSpec("ar1", 0.5), SimConfig(T=40, burn_in=burn_in, seed=2)))
     for panel in panels:
         assert panel.values.shape == (small_net.n, 40)
         assert panel.values.flags.c_contiguous
