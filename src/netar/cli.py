@@ -108,8 +108,7 @@ def _cmd_test_score(args) -> None:
         raise SystemExit("the chi-square score test targets the drift alternative")
     net = load_edges(args.net)
     panel = load_panel_csv(args.panel, domain=domain)
-    beta = (1.0, 0.2, 0.2) if domain == "count" else (0.0, 0.0, 0.0)
-    res = lm_test(panel, net, ModelSpec.drift(beta, 0.0, domain))
+    res = lm_test(panel, net, ModelSpec.drift((1.0, 0.2, 0.2), 0.0, domain))
     _write_json(res.to_dict(), args.out)
 
 

@@ -12,14 +12,14 @@ cancel.  The statistic is referred to a chi-square with as many degrees
 of freedom as tested coordinates; this is unaffected by the tested value
 sitting on the parameter boundary.
 
-The per-time scores and the curvature come from the shared kernel
-qmle._score_parts.  The statistic uses the unprojected partial score
-(the nonlinear-block total, which is the partial score at the constrained
-fit because the linear-block score vanishes there); the projection of
-the linear block lives in Sigma.  The statistic is ||S^-1 V' partial||^2
-from the thin SVD E = U S V' of the effective scores, so Sigma is never
-inverted; _whiten and _null_design, which takes the design and fitted mean
-from the null fit, also serve the profile tests of nuisance.
+The linear block (scores, curvature and score outer product of
+(1, X, Y)) is the null fit's, handed over by _null_design; the drift test
+and the stnar profile form only their own columns.  The statistic uses the
+unprojected partial score (the nonlinear-block total, which is the partial
+score at the constrained fit because the linear-block score vanishes
+there); the projection of the linear block lives in Sigma.  The statistic
+is ||S^-1 V' partial||^2 from the thin SVD E = U S V' of the effective
+scores (_whiten, shared with the profiles), so Sigma is never inverted.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from scipy.special import gammaincc
 from .dgp import Panel
 from .model import ModelSpec
 from .netgraph import Network
-from .qmle import FitResult, _quasi_parts, ols_fit_linear, qmle_fit
+from .qmle import FitResult, _weights, ols_fit_linear, qmle_fit
 
 __all__ = [
     "ScoreTestResult",
@@ -52,10 +52,8 @@ def chi2_sf(x: float, df: int) -> float:
 
 def _null_design(panel: Panel, net: Network, domain: str):
     """The linear null fitted to the panel (QMLE for counts, least squares
-    for continuous data), and the lagged design (y_now, y_lag, x_lag) and
-    null mean lam (positive for counts) that the fit hands over; the fit
-    also carries the (1, X, Y) stack, its per-time scores at lam and their
-    curvature, the linear block the stnar profile reads.  The QMLE starts
+    for continuous data), with the lagged design (y_now, y_lag, x_lag) and
+    null mean lam (positive for counts) that it hands over.  The QMLE starts
     at qmle_fit's default (0.6 mean(Y), 0.2, 0.2); the spec below names the
     family only."""
     null_fit = (qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2), "count"))
@@ -63,6 +61,18 @@ def _null_design(panel: Panel, net: Network, domain: str):
     if not null_fit.converged:
         raise RuntimeError("null fit did not converge")
     return null_fit, null_fit.design, null_fit.fitted
+
+
+def _column_blocks(fit: FitResult, columns):
+    """The null fit's linear block s_t^(1), H11, then stacked over the
+    nonlinear columns h (an iterable of (N, T-1) arrays, read one at a
+    time): whether h is nonzero, its per-time scores s_t^(2) and H12,
+    against the fit's (1, X, Y) stack with the weights at its fitted mean."""
+    resid, curf = _weights(fit.domain, fit.design[0], fit.fitted)
+    zc = (fit.stack if curf is None else fit.stack * curf).reshape(3, -1)
+    parts = [(h.any(), np.einsum("nt,nt->t", h, resid)[:, None], zc @ h.reshape(-1, 1))
+             for h in columns]
+    return (fit.scores, fit.hessian, *map(np.array, zip(*parts)))
 
 
 def _whiten(effective: np.ndarray):
@@ -100,27 +110,28 @@ def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec) -> ScoreTestResult:
     """Linearity test against the intercept-drift alternative.
 
     The constrained fit is the linear model fitted to the panel (see
-    _null_design); only alt_spec's family and domain are read.  The extra
-    Jacobian column at the null is -b0*log(1 + X) (counts) or
-    -b0*log(1 + |X|) (continuous).
-    The linear block is projected out of the per-time scores through the
-    curvature (counts) or the score outer product (least squares).
+    _null_design); only alt_spec's family and domain are read.  The test
+    forms only the drift column at g = 0, h = -b0*log(1 + X) (counts) or
+    -b0*log(1 + |X|) (continuous), and projects with the fit's H11 and H12
+    plus the b0/g cross curvature (counts) or its B11 and B12 (least squares).
     """
     if alt_spec.family != "drift":
         raise ValueError("the identifiable-parameter test is against the drift family")
     domain = alt_spec.domain
-    null_fit, (y_now, y_lag, x_lag), lam = _null_design(panel, net, domain)
-    beta = null_fit.theta_hat
-    # alternative evaluated at the constrained point (beta_hat, g = 0)
-    s_t, hess = _quasi_parts(ModelSpec.drift(beta, 0.0, domain), y_now, y_lag, x_lag, lam)
-    proj = hess if domain == "count" else s_t.T @ s_t
-    effective = s_t[:, 3:] - s_t[:, :3] @ np.linalg.solve(proj[:3, :3], proj[:3, 3:])
-
-    partial = s_t.sum(axis=0)[3:]
+    fit, (_, _, x_lag), _ = _null_design(panel, net, domain)
+    b0 = fit.theta_hat[0]
+    h = -b0 * np.log1p(x_lag if domain == "count" else np.abs(x_lag))
+    s1, m11, _, (s2,), (m12,) = _column_blocks(fit, [h])
+    partial = s2.sum(axis=0)
+    if domain == "count":       # the cross curvature sum resid log(1 + X) is -partial / b0
+        m12[0] -= partial / b0
+    else:
+        m11, m12 = fit.opg, s1.T @ s2
+    effective = s2 - s1 @ np.linalg.solve(m11, m12)
     _, s, vt, rank = _whiten(effective)
     if rank < partial.shape[0]:
         raise np.linalg.LinAlgError("score covariance is singular")
     stat, df = float(np.sum(np.square(vt @ partial / s))), 1
     return ScoreTestResult(
         statistic=stat, df=df, p_value=chi2_sf(stat, df), method="chi2",
-        sigma_used=effective.T @ effective, null_fit=null_fit)
+        sigma_used=effective.T @ effective, null_fit=fit)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import rng
 from .dgp import Panel
-from .lintest import _null_design, _whiten, chi2_sf
+from .lintest import _column_blocks, _null_design, _whiten, chi2_sf
 from .model import _h_columns
 from .netgraph import Network
 from .qmle import _CURV_BLOCK, FitResult, _weights, lagged_design
@@ -161,21 +161,6 @@ def _whitened_stat(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.square(np.swapaxes(u, 1, 2) @ w).sum(axis=1)
 
 
-def _stnar_blocks(grid, fit: FitResult, domain):
-    """The linear block s_t^(1), H11 of the linear null fit, then stacked
-    over the grid: whether h(g) = exp(-g X^2) X is nonzero, and its s_t^(2)
-    and H12, with the fit's (1, X, Y) stack as the linear columns."""
-    (y_now, y, x), z1 = fit.design, fit.stack
-    resid, curf = _weights(domain, y_now, fit.fitted)
-    zc = (z1 if curf is None else z1 * curf).reshape(3, -1)
-    parts = []
-    for gamma in grid:
-        (h,) = _h_columns("stnar", gamma, x, y)
-        hf = h.reshape(-1, 1)
-        parts.append((h.any(), np.einsum("nt,nt->t", h, resid)[:, None], zc @ hf))
-    return (fit.scores, fit.hessian, *map(np.array, zip(*parts)))
-
-
 def _tnar_bins(grid, x):
     """np.searchsorted(grid, x, side="left"), the number of grid points
     strictly below each cell, from one comparison per grid point."""
@@ -186,7 +171,7 @@ def _tnar_bins(grid, x):
 
 
 def _tnar_blocks(grid, x, y, y_now, lam, domain):
-    """As _stnar_blocks for the columns (1, X, Y) * 1{X <= g}.  A cell is in
+    """As _column_blocks for the columns (1, X, Y) * 1{X <= g}.  A cell is in
     bin b <= j exactly when X <= g_j, so cumulative sums over the bins give
     every masked sum (the last bin's: the linear block).  The cells are read
     in blocks of whole node rows, about _CURV_BLOCK cells each, so no array
@@ -237,7 +222,8 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     if family == "tnar":
         s1, h11, ok, s2, h12 = _tnar_blocks(grid.values, x_lag, y_lag, y_now, lam, domain)
     else:
-        s1, h11, ok, s2, h12 = _stnar_blocks(grid.values, null_fit, domain)
+        s1, h11, ok, s2, h12 = _column_blocks(
+            null_fit, (_h_columns("stnar", g, x_lag, y_lag)[0] for g in grid.values))
     k2 = s2.shape[-1]
     why = np.where(ok, "", "degenerate nonlinear regressors").astype(object)
     try:

@@ -10,15 +10,14 @@ likelihood ignores.  Every family is fitted on one Newton path; its
 derivative stack is fixed unless the mean is curved in the estimable
 coordinates (drift), and its weights go to two reused buffers.
 
-The score and curvature sums here (the stnar profile in nuisance reads
-the null fit's as its linear block) and in the drift test (lintest) come
-from one private kernel, _score_parts: the unprojected per-time scores
-s_t and the curvature H of a derivative stack.  The tests' score
-covariance is the outer product of these scores with the linear block
-projected out.  The curvature is summed over column blocks of _CURV_BLOCK
-cells, each weighted as it is read: at paper scale (N(T-1) near 2e5
-cells) no weighted copy of the stack is formed and each block's product
-runs on data in cache.
+The score and curvature sums here come from one private kernel,
+_score_parts: the unprojected per-time scores s_t and the curvature H of a
+derivative stack.  The linear null fit hands over its (1, X, Y) stack, s_t,
+H and B, the linear block that the drift test (lintest) and the stnar
+profile (nuisance) read.  The curvature is summed over column blocks of
+_CURV_BLOCK cells, each weighted as it is read: at paper scale (N(T-1)
+near 2e5 cells) no weighted copy of the stack is formed and each block's
+product runs on data in cache.
 
 Time indexing: the first column of a panel conditions the recursion, so
 all sums run over the remaining T-1 time points.
@@ -59,7 +58,7 @@ class FitResult:
     (y_now, y_lag, x_lag) the fit ran on, the mean fitted at theta_hat, the
     (m, N, T-1) derivative stack of the mean there ((1, X, Y) for the linear
     null) and its (T-1) x m per-time scores at the fitted mean, whose
-    curvature is hessian."""
+    curvature is hessian and whose outer product is opg."""
 
     theta_hat: np.ndarray
     loglik: float
@@ -153,10 +152,16 @@ def _weights(domain: str, y_now, lam, out=(None, None)):
     return weight, curv
 
 
-def _quasi_parts(sp: ModelSpec, y_now, y_lag, x_lag, lam):
-    """_score_parts of sp's quasi-likelihood at mean lam."""
-    return _score_parts(jac_elementwise(sp, x_lag, y_lag), *_weights(sp.domain, y_now, lam),
-                        hess_elementwise(sp, x_lag, y_lag))
+def _gram_inverse(gram: np.ndarray) -> np.ndarray:
+    """G^-1 for the Gram matrix G = Z'Z of Z = (1, X, Y), from the eigenvalues
+    of the column-scaled G.  Raises if Z is rank deficient: a column is zero or
+    the scaled G has an eigenvalue at most 1e-12 times its largest."""
+    scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+    # a zero column of Z keeps a zero row in the scaled matrix: eigenvalue 0
+    eig, vec = np.linalg.eigh(gram / np.where(scale > 0, scale, 1.0))
+    if not eig[0] > 1e-12 * eig[-1]:
+        raise ValueError("design matrix is rank deficient")
+    return (vec / eig) @ vec.T / scale
 
 
 def _poisson_loglik(y_now, lam) -> float:
@@ -202,8 +207,7 @@ def ols_fit_linear(panel: Panel, net: Network) -> FitResult:
     """Least squares of Y_t on Z = (1, X_{t-1}, Y_{t-1}) by the corrected
     semi-normal equations (Bjorck 1987): G theta = Z'y with the Gram matrix
     G = Z'Z of _score_parts, then one step theta += G^-1 Z'(y - Z theta)
-    from the data's residual.  Z is rank deficient when a column is zero or
-    the column-scaled G has an eigenvalue at most 1e-12 times its largest.
+    from the data's residual.  A rank deficient Z raises (_gram_inverse).
     The final residual, behind the scores, the sandwich and the residual sum
     of squares, is y - fitted with fitted the linear mean at theta_hat, the
     residual the linearity tests use; Z is handed over as the stack."""
@@ -212,12 +216,7 @@ def ols_fit_linear(panel: Panel, net: Network) -> FitResult:
         raise ValueError("least squares needs T >= 3")
     cols = np.stack([np.ones_like(x_lag), x_lag, y_lag])
     s_y, gram = _score_parts(cols, y_now)
-    scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
-    # a zero column of Z keeps a zero row in the scaled matrix: eigenvalue 0
-    eig, vec = np.linalg.eigh(gram / np.where(scale > 0, scale, 1.0))
-    if not eig[0] > 1e-12 * eig[-1]:
-        raise ValueError("design matrix is rank deficient")
-    gram_inv = (vec / eig) @ vec.T / scale
+    gram_inv = _gram_inverse(gram)
     theta = gram_inv @ s_y.sum(axis=0)
     resid = y_now - np.tensordot(theta, cols, axes=1)
     theta += gram_inv @ np.einsum("ant,nt->a", cols, resid)
@@ -255,12 +254,15 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
     and curvature are formed once per accepted iterate, with the weights
     in two reused buffers; the derivative stack is built once when the
     mean is linear in its estimable coordinates (every family but drift).
+    A rank deficient (1, X, Y) raises before Newton, as in least squares.
     """
     if spec.domain != "count":
         raise ValueError("qmle_fit expects a count-domain spec")
     if not panel.is_count():
         raise ValueError("qmle_fit expects a nonnegative integer panel")
     y_now, y_lag, x_lag = lagged_design(panel, net)
+    lin = np.stack([np.ones_like(x_lag), x_lag, y_lag])
+    _gram_inverse(lin.reshape(3, -1) @ lin.reshape(3, -1).T)     # least squares' rank rule
     n_obs = y_now.size
     theta = np.maximum(np.asarray(theta0, dtype=float) if theta0 is not None
                        else _default_start(panel, spec), _LOWER)
@@ -276,7 +278,7 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
         raise ValueError("starting value is inadmissible")
 
     buffers = np.empty_like(y_now), np.empty_like(y_now)
-    cols = None
+    cols = lin if spec.family == "linear" else None     # jac_elementwise's linear stack
 
     def parts_at(t, lam_t):
         nonlocal cols

@@ -20,9 +20,10 @@ import reference
 from netar import rng
 from netar.dgp import CopulaSpec, Panel, SimConfig
 from netar.lintest import chi2_sf
-from netar.model import ModelSpec, cond_mean, mean_elementwise
+from netar.model import (ModelSpec, cond_mean, hess_elementwise, jac_elementwise,
+                         mean_elementwise)
 from netar.nuisance import GammaGrid, davies_pvalue, lm_profile
-from netar.qmle import _quasi_parts, lagged_design, ols_fit_linear, qmle_fit
+from netar.qmle import _score_parts, _weights, lagged_design, ols_fit_linear, qmle_fit
 from netar.studio import Scenario, StudyConfig, load_panel_csv, run_mc_study
 from netar.netgraph import load_edges
 
@@ -54,7 +55,9 @@ def test_criterion_08_oracle_suite():
     y_now, y_lag, x_lag = lagged_design(panel, net)
 
     def kernel_at(sp):
-        return _quasi_parts(sp, y_now, y_lag, x_lag, mean_elementwise(sp, x_lag, y_lag))
+        return _score_parts(jac_elementwise(sp, x_lag, y_lag),
+                            *_weights(sp.domain, y_now, mean_elementwise(sp, x_lag, y_lag)),
+                            hess_elementwise(sp, x_lag, y_lag))
 
     def loglik(theta):
         return reference.poisson_loglik(panel.values, net.w, theta)

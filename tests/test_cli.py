@@ -11,45 +11,48 @@ from netar.studio import load_panel_csv
 
 def test_full_pipeline_through_cli(tmp_path):
     net_file = tmp_path / "net.txt"
-    panel_file = tmp_path / "panel.csv"
-    fit_file = tmp_path / "fit.json"
-    score_file = tmp_path / "score.json"
-    sup_file = tmp_path / "sup.json"
-
     assert main(["net", "gen", "--model", "sbm", "--nodes", "25", "--blocks", "2",
                  "--seed", "7", "-o", str(net_file)]) == 0
     assert net_file.exists()
 
-    assert main(["sim", "--family", "pnar", "--spec", "linear",
-                 "--theta", "1.0,0.3,0.2", "--net", str(net_file),
-                 "--T", "80", "--burn-in", "100",
-                 "--copula", "gaussian-ar1:0.5", "--seed", "3",
-                 "-o", str(panel_file)]) == 0
-    panel = load_panel_csv(panel_file, domain="count")
-    assert panel.values.shape == (25, 80)
+    # count (pnar) and continuous (nar) panels through every command
+    for family, domain, sim_args in (
+            ("pnar", "count", ["--theta", "1.0,0.3,0.2", "--copula", "gaussian-ar1:0.5"]),
+            ("nar", "cont", ["--theta", "1.5,0.4,0.5", "--sigma", "1.0"])):
+        panel_file = tmp_path / f"{family}-panel.csv"
+        fit_file = tmp_path / f"{family}-fit.json"
+        score_file = tmp_path / f"{family}-score.json"
+        sup_file = tmp_path / f"{family}-sup.json"
 
-    assert main(["fit", "--family", "pnar", "--spec", "linear",
-                 "--net", str(net_file), "--panel", str(panel_file),
-                 "-o", str(fit_file)]) == 0
-    fit = json.loads(fit_file.read_text())
-    assert fit["converged"] is True
-    assert len(fit["theta_hat"]) == 3
+        assert main(["sim", "--family", family, "--spec", "linear", *sim_args,
+                     "--net", str(net_file), "--T", "80", "--burn-in", "100",
+                     "--seed", "3", "-o", str(panel_file)]) == 0
+        panel = load_panel_csv(panel_file, domain=domain)
+        assert panel.values.shape == (25, 80)
 
-    assert main(["test", "score", "--family", "pnar", "--alt", "drift",
-                 "--net", str(net_file), "--panel", str(panel_file),
-                 "-o", str(score_file)]) == 0
-    score = json.loads(score_file.read_text())
-    assert score["df"] == 1
-    assert 0.0 <= score["p_value"] <= 1.0
+        assert main(["fit", "--family", family, "--spec", "linear",
+                     "--net", str(net_file), "--panel", str(panel_file),
+                     "-o", str(fit_file)]) == 0
+        fit = json.loads(fit_file.read_text())
+        assert fit["converged"] is True
+        assert len(fit["theta_hat"]) == 3
 
-    assert main(["test", "sup", "--family", "pnar", "--alt", "stnar",
-                 "--grid", "0.05:2:10", "--method", "both",
-                 "--boot-reps", "39", "--agg", "sup", "--seed", "5",
-                 "--net", str(net_file), "--panel", str(panel_file),
-                 "-o", str(sup_file)]) == 0
-    sup = json.loads(sup_file.read_text())
-    assert sup["g_sup"] >= sup["g_ave"]
-    assert sup["davies_p"] is not None and sup["boot_p"] is not None
+        assert main(["test", "score", "--family", family, "--alt", "drift",
+                     "--net", str(net_file), "--panel", str(panel_file),
+                     "-o", str(score_file)]) == 0
+        score = json.loads(score_file.read_text())
+        assert score["df"] == 1
+        assert 0.0 <= score["p_value"] <= 1.0
+        assert score["null_fit"]["domain"] == domain
+
+        assert main(["test", "sup", "--family", family, "--alt", "stnar",
+                     "--grid", "0.05:2:10", "--method", "both",
+                     "--boot-reps", "39", "--agg", "sup", "--seed", "5",
+                     "--net", str(net_file), "--panel", str(panel_file),
+                     "-o", str(sup_file)]) == 0
+        sup = json.loads(sup_file.read_text())
+        assert sup["g_sup"] >= sup["g_ave"]
+        assert sup["davies_p"] is not None and sup["boot_p"] is not None
 
 
 def test_cli_nar_sim_and_fit(tmp_path):

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 import netar as na
 from netar.dgp import Panel, SimConfig
-from netar.lintest import _whiten, chi2_sf, lm_test
+from netar import model, qmle
+from netar.lintest import _null_design, _whiten, chi2_sf, lm_test
 from netar.model import ModelSpec, mean_elementwise
 from netar.nuisance import GammaGrid, _tnar_blocks, default_grid, lm_profile
-from netar.qmle import _quasi_parts, lagged_design
+from netar.qmle import lagged_design
 import reference
 from reference import four_term_sigma
 
@@ -83,19 +85,58 @@ def test_lm_test_basic_output_contract(small_net, cont_panel, count_panel):
         assert res.null_fit.converged
 
 
-@pytest.mark.parametrize("domain", ["count", "cont"])
-def test_lm_test_builds_the_design_once(small_net, request, monkeypatch, domain):
-    # the null fit builds the design and hands it, with its fitted mean, to the test
+def _count_calls(monkeypatch, func):
+    """Wrap func wherever a netar module holds it; returns the list that each
+    call appends to."""
     calls = []
 
-    def counted(panel, net):
-        calls.append(panel)
-        return lagged_design(panel, net)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
 
-    monkeypatch.setattr("netar.qmle.lagged_design", counted)
-    lm_test(request.getfixturevalue(f"{domain}_panel"), small_net,
-            ModelSpec.drift((1.0, 0.2, 0.2), 0.0, domain))
-    assert len(calls) == 1
+    for name, mod in list(sys.modules.items()):
+        if name == "netar" or name.startswith("netar."):
+            for attr, val in list(vars(mod).items()):
+                if val is func:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("domain", ["count", "cont"])
+def test_lm_test_builds_the_design_once(small_net, request, monkeypatch, domain):
+    # the null fit builds the design and hands it, with its fitted mean and its
+    # linear block, to the test: outside the fit the test builds no design and
+    # calls neither the score kernel nor the derivative stack
+    panel = request.getfixturevalue(f"{domain}_panel")
+    calls = {f: _count_calls(monkeypatch, f)
+             for f in (lagged_design, qmle._score_parts, model.jac_elementwise)}
+    _null_design(panel, small_net, domain)
+    in_fit = {f: len(c) for f, c in calls.items()}
+    lm_test(panel, small_net, ModelSpec.drift((1.0, 0.2, 0.2), 0.0, domain))
+    assert in_fit[lagged_design] == 1
+    assert {f: len(c) - in_fit[f] for f, c in calls.items()} == in_fit
+
+
+@pytest.mark.parametrize("domain", ["count", "cont"])
+@pytest.mark.parametrize("case", ["all-zero panel", "edgeless graph"])
+def test_degenerate_input_fails_with_the_rank_message(domain, case):
+    # both null fits apply least squares' rank rule to (1, X, Y): an all-zero
+    # panel leaves X = Y = 0 and an edgeless graph X = 0
+    net = na.gen_sbm(50, 2, seed=1)
+    gen = np.random.default_rng(1)
+    values = (gen.poisson(2.0, (50, 100)).astype(float) if domain == "count"
+              else gen.standard_normal((50, 100)))
+    if case == "all-zero panel":
+        values[:] = 0.0
+    else:
+        with pytest.warns(UserWarning, match="zero out-degree"):
+            net = na.gen_er(50, 0.0)
+    panel = Panel(values)
+    with pytest.raises(ValueError, match="design matrix is rank deficient"):
+        lm_test(panel, net, ModelSpec.drift((1.0, 0.2, 0.2), 0.0, domain))
+    for family, grid in (("stnar", default_grid("stnar")), ("tnar", GammaGrid([0.5, 1.0]))):
+        with pytest.raises(ValueError, match="design matrix is rank deficient"):
+            lm_profile(panel, net, family, grid, domain)
 
 
 @pytest.mark.parametrize("family, domain, grid", [
@@ -201,12 +242,19 @@ def test_forcing_b_equal_h_recovers_classical_score_test(small_net, count_panel)
 # the covariance as the outer product of effective scores -----------------------
 
 def _drift_parts(panel, net, domain):
-    """lm_test's result and its kernel outputs: per-time scores and curvature."""
+    """lm_test's result and the reference per-time scores and curvature of the
+    drift alternative at the null fit: the stack (1, X, Y, -b0 log(1 + X)),
+    |X| in place of X on continuous panels, with the b0/g and g/g second
+    derivatives."""
     res = lm_test(panel, net, ModelSpec.drift((1.0, 0.3, 0.2), 0.0, domain))
-    beta = res.null_fit.theta_hat
-    y_now, y_lag, x_lag = lagged_design(panel, net)
-    lam = mean_elementwise(ModelSpec.linear(beta, domain), x_lag, y_lag)
-    s_t, hess = _quasi_parts(ModelSpec.drift(beta, 0.0, domain), y_now, y_lag, x_lag, lam)
+    b0, b1, b2 = res.null_fit.theta_hat
+    y_now, x, y = reference.lagged(panel.values, net.w)
+    lam = b0 + b1 * x + b2 * y
+    log1x = np.log1p(x if domain == "count" else np.abs(x))
+    cols = np.stack([np.ones_like(x), x, y, -b0 * log1x])
+    weight, curv = (y_now / lam - 1.0, y_now / lam ** 2) if domain == "count" else (y_now - lam, None)
+    s_t, hess = reference.score_parts(cols, weight, curv,
+                                      ((0, 3, -log1x), (3, 3, b0 * log1x ** 2)))
     return res, s_t, hess
 
 
@@ -214,13 +262,16 @@ def test_lm_test_sigma_is_the_four_term_correction(small_net, count_panel, cont_
     res, s_t, hess = _drift_parts(count_panel, small_net, "count")
     four_term = four_term_sigma(hess, s_t.T @ s_t, 3)
     assert res.sigma_used == pytest.approx(four_term, rel=1e-10)
+    assert res.statistic == pytest.approx(s_t[:, 3].sum() ** 2 / four_term[0, 0], rel=1e-10)
     # least squares projects through B itself: Sigma is B's Schur complement.  The
     # drift column -b0 log(1 + |X|) is nearly the intercept here, so the four-term
     # form cancels to about 3e-9 of a 60-digit evaluation; the long-double test
     # below checks this Sigma tightly
     res, s_t, _ = _drift_parts(cont_panel, small_net, "cont")
     opg = s_t.T @ s_t
-    assert res.sigma_used == pytest.approx(four_term_sigma(opg, opg, 3), rel=1e-8)
+    four_term = four_term_sigma(opg, opg, 3)
+    assert res.sigma_used == pytest.approx(four_term, rel=1e-8)
+    assert res.statistic == pytest.approx(s_t[:, 3].sum() ** 2 / four_term[0, 0], rel=1e-8)
 
 
 def _solve_ld(a, b):

@@ -8,8 +8,8 @@ import netar as na
 import reference
 from netar import qmle
 from netar.dgp import Panel, SimConfig
-from netar.model import ModelSpec, mean_elementwise
-from netar.qmle import (_poisson_loglik, _quasi_parts, _score_parts, _weights, lagged_design,
+from netar.model import ModelSpec, hess_elementwise, jac_elementwise, mean_elementwise
+from netar.qmle import (_poisson_loglik, _score_parts, _weights, lagged_design,
                         ols_fit_linear, qmle_fit, sandwich_cov)
 
 
@@ -18,10 +18,13 @@ def _two_node_net():
 
 
 def _kernel_at(panel, net, spec, theta=None):
-    """The program's per-time scores and curvature (qmle._quasi_parts) at theta."""
+    """The program's per-time scores and curvature at theta, composed from the
+    shared kernel as qmle_fit composes them."""
     sp = spec if theta is None else spec.with_active(theta)
     y_now, y_lag, x_lag = lagged_design(panel, net)
-    return _quasi_parts(sp, y_now, y_lag, x_lag, mean_elementwise(sp, x_lag, y_lag))
+    return _score_parts(jac_elementwise(sp, x_lag, y_lag),
+                        *_weights(sp.domain, y_now, mean_elementwise(sp, x_lag, y_lag)),
+                        hess_elementwise(sp, x_lag, y_lag))
 
 
 # quasi-log-likelihood -----------------------------------------------------------
@@ -144,19 +147,29 @@ def test_ols_sigma2_is_mean_squared_residual(small_net, cont_panel):
     assert fit.sigma2_hat == pytest.approx(np.mean((y_now - lam) ** 2))
 
 
+def _null_fits():
+    """Least squares and the linear count QMLE, which share one rank rule."""
+    return (ols_fit_linear,
+            lambda panel, net: qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2))))
+
+
 def test_ols_rejects_rank_deficiency():
     net = _two_node_net()
-    panel = Panel(np.ones((2, 10)))  # constant series: X, Y columns collinear
-    with pytest.raises(ValueError, match="rank deficient"):
-        ols_fit_linear(panel, net)
+    # constant series: X, Y columns collinear with the intercept; zero: X = Y = 0
+    for values in (np.ones((2, 10)), np.zeros((2, 10))):
+        for fit in _null_fits():
+            with pytest.raises(ValueError, match="rank deficient"):
+                fit(Panel(values), net)
 
 
 def test_ols_rejects_an_edgeless_graph():
     with pytest.warns(UserWarning, match="zero out-degree"):
         net = na.row_normalize([], 5)
-    panel = Panel(np.random.default_rng(3).standard_normal((5, 20)))  # X = 0
-    with pytest.raises(ValueError, match="rank deficient"):
-        ols_fit_linear(panel, net)
+    gen = np.random.default_rng(3)
+    panels = Panel(gen.standard_normal((5, 20))), Panel(gen.poisson(2.0, (5, 20)).astype(float))
+    for fit, panel in zip(_null_fits(), panels):
+        with pytest.raises(ValueError, match="rank deficient"):     # X = 0
+            fit(panel, net)
 
 
 @pytest.mark.parametrize("n", [30, 200])
