@@ -28,7 +28,7 @@ from .lintest import lm_test
 from .model import ModelSpec, parse_spec
 from .netgraph import gen_er, gen_sbm, load_edges, network_summary, save_edges
 from .nuisance import run_profile_test
-from .qmle import ols_fit_linear, qmle_fit
+from .qmle import qmle_fit
 from .studio import (StudyConfig, _parse_grid, emit_report, load_panel_csv,
                      run_mc_study, save_panel_csv, write_raw_draws)
 
@@ -91,15 +91,9 @@ def _cmd_fit(args) -> None:
     domain = _domain(args.family)
     net = load_edges(args.net)
     panel = load_panel_csv(args.panel, domain=domain)
-    if domain == "count":
-        spec = parse_spec(args.spec, (1.0, 0.2, 0.2), domain)
-        theta0 = _parse_theta(args.theta0) if args.theta0 else None
-        fit = qmle_fit(panel, net, spec, theta0=theta0)
-    else:
-        if args.spec != "linear":
-            raise SystemExit("continuous fitting supports the linear model")
-        fit = ols_fit_linear(panel, net)
-    _write_json(fit.to_dict(), args.out)
+    spec = parse_spec(args.spec, (1.0, 0.2, 0.2), domain)
+    theta0 = _parse_theta(args.theta0) if args.theta0 else None
+    _write_json(qmle_fit(panel, net, spec, theta0=theta0).to_dict(), args.out)
 
 
 def _cmd_test_score(args) -> None:

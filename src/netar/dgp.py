@@ -276,13 +276,15 @@ def _gaussian_start(spec: ModelSpec, init) -> tuple:
     return mode, _warmup_steps(b1, b2) if mode in ("stationary", "linear-stationary") else 0
 
 
+@np.errstate(over="ignore", invalid="ignore")      # the panel is checked once, after its loop
 def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
     """Continuous-panel recursion Y_t = lam(W Y_{t-1}, Y_{t-1}) + sigma*xi_t.
 
     lam is the mean of the embedded linear model during the warm-up steps
     and spec's mean after them.  Each step forms W Y_{t-1} with
     _neighbour_average in one reused buffer; the stored steps are the rows
-    of a time-major buffer whose transposed copy is the C-contiguous panel.
+    of a time-major buffer whose transposed copy is the C-contiguous panel;
+    a non-finite value in it raises RuntimeError naming its step.
 
     Initialization modes (the noise is drawn in blocks of _NOISE_ROWS steps):
       "stationary"        stationary Gaussian start, linear family only, no
@@ -322,6 +324,9 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
         y = lam if noise is None else lam + noise[t % _NOISE_ROWS]
         if t >= warm:
             out[t - warm] = y
+    if not np.isfinite(out).all():      # a non-finite cell stays non-finite at its node
+        t = warm + int((~np.isfinite(out)).any(axis=1).argmax())
+        raise RuntimeError(f"non-finite value at step {t}; parameters look explosive")
     return Panel(out[burn:].T.copy())
 
 

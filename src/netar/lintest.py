@@ -1,7 +1,8 @@
 """Quasi-score linearity test with identifiable tested parameters.
 
-The null linear model is fitted (QMLE for counts, least squares for
-continuous data) and the partial score of the nonlinear coordinates is
+The null linear model is fitted by qmle_fit, on the working Poisson
+likelihood for counts and by least squares, its Gaussian case, for
+continuous data, and the partial score of the nonlinear coordinates is
 standardized by its covariance Sigma = sum_t e_t e_t', the outer product
 of the effective per-time scores e_t = s_t^(2) - M21 M11^-1 s_t^(1).
 With M the curvature H (count QMLE) this is the paper's four-term
@@ -32,7 +33,7 @@ from scipy.special import gammaincc
 from .dgp import Panel
 from .model import ModelSpec
 from .netgraph import Network
-from .qmle import FitResult, _weights, ols_fit_linear, qmle_fit
+from .qmle import FitResult, _weights, ols_fit_linear, qmle_fit  # noqa: F401  (traced name)
 
 __all__ = [
     "ScoreTestResult",
@@ -50,17 +51,15 @@ def chi2_sf(x: float, df: int) -> float:
     return float(gammaincc(df / 2.0, x / 2.0))
 
 
-def _null_design(panel: Panel, net: Network, domain: str):
-    """The linear null fitted to the panel (QMLE for counts, least squares
-    for continuous data), with the lagged design (y_now, y_lag, x_lag) and
-    null mean lam (positive for counts) that it hands over.  The QMLE starts
-    at qmle_fit's default (0.6 mean(Y), 0.2, 0.2); the spec below names the
-    family only."""
-    null_fit = (qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2), "count"))
-                if domain == "count" else ols_fit_linear(panel, net))
+def _null_design(panel: Panel, net: Network, domain: str) -> FitResult:
+    """The linear null fitted by qmle_fit (working Poisson for counts, least
+    squares for continuous data).  It hands over its lagged design, fitted
+    mean (positive for counts) and linear block; the spec's coefficients are
+    not read."""
+    null_fit = qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2), domain))
     if not null_fit.converged:
         raise RuntimeError("null fit did not converge")
-    return null_fit, null_fit.design, null_fit.fitted
+    return null_fit
 
 
 def _column_blocks(fit: FitResult, columns):
@@ -118,14 +117,16 @@ def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec) -> ScoreTestResult:
     if alt_spec.family != "drift":
         raise ValueError("the identifiable-parameter test is against the drift family")
     domain = alt_spec.domain
-    fit, (_, _, x_lag), _ = _null_design(panel, net, domain)
-    b0 = fit.theta_hat[0]
+    fit = _null_design(panel, net, domain)
+    x_lag, b0 = fit.design[2], fit.theta_hat[0]
     h = -b0 * np.log1p(x_lag if domain == "count" else np.abs(x_lag))
     s1, m11, _, (s2,), (m12,) = _column_blocks(fit, [h])
     partial = s2.sum(axis=0)
     if domain == "count":       # the cross curvature sum resid log(1 + X) is -partial / b0
         m12[0] -= partial / b0
-    else:
+    else:   # s1 sums to 0: with T-1 <= 4 the effective scores are 0 or a multiple of 1
+        if len(s1) <= 4:
+            raise ValueError(f"the least-squares drift test needs T >= 6, got T = {len(s1) + 1}")
         m11, m12 = fit.opg, s1.T @ s2
     effective = s2 - s1 @ np.linalg.solve(m11, m12)
     _, s, vt, rank = _whiten(effective)

@@ -218,7 +218,8 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     """
     if family not in ("stnar", "tnar"):
         raise ValueError("profiled testing applies to the stnar and tnar families")
-    null_fit, (y_now, y_lag, x_lag), lam = _null_design(panel, net, domain)
+    null_fit = _null_design(panel, net, domain)
+    (y_now, y_lag, x_lag), lam = null_fit.design, null_fit.fitted
     if family == "tnar":
         s1, h11, ok, s2, h12 = _tnar_blocks(grid.values, x_lag, y_lag, y_now, lam, domain)
     else:

@@ -1,14 +1,13 @@
 """Quasi-maximum-likelihood estimation for network autoregressions.
 
-Count panels are fitted by maximizing the working Poisson likelihood
-(contemporaneous independence), continuous panels by least squares through
-the corrected semi-normal equations on the Gram matrix of _score_parts.  Both
-report the sandwich covariance H^-1 B H^-1, where H is the observed
-Hessian of the quasi-likelihood and B the outer product of per-time score
-contributions; B captures the cross-sectional dependence the working
-likelihood ignores.  Every family is fitted on one Newton path; its
-derivative stack is fixed unless the mean is curved in the estimable
-coordinates (drift), and its weights go to two reused buffers.
+One Newton path, qmle_fit, fits both domains: counts on the working Poisson
+likelihood (contemporaneous independence), continuous panels on the
+Gaussian one, -RSS/2, whose maximizer is least squares.  Both report the
+sandwich covariance H^-1 B H^-1, where H is the observed Hessian of the
+quasi-likelihood and B the outer product of per-time score contributions;
+B captures the cross-sectional dependence the working likelihood ignores.
+The derivative stack is fixed unless the mean is curved in the estimable
+coordinates (drift), and the count weights go to two reused buffers.
 
 The score and curvature sums here come from one private kernel,
 _score_parts: the unprojected per-time scores s_t and the curvature H of a
@@ -53,12 +52,12 @@ _CURV_BLOCK = 1 << 13  # cells per column block of the curvature sum
 
 @dataclass
 class FitResult:
-    """Estimate, curvature matrices and sandwich standard errors, with what
-    the linearity tests read (to_dict omits these four): the lagged design
-    (y_now, y_lag, x_lag) the fit ran on, the mean fitted at theta_hat, the
-    (m, N, T-1) derivative stack of the mean there ((1, X, Y) for the linear
-    null) and its (T-1) x m per-time scores at the fitted mean, whose
-    curvature is hessian and whose outer product is opg."""
+    """qmle_fit's estimate, curvature matrices and sandwich standard errors
+    (method "OLS", sigma2_hat = RSS/n for least squares), and what the tests
+    read (not in to_dict): the lagged design (y_now, y_lag, x_lag), the mean
+    fitted at theta_hat, the (m, N, T-1) derivative stack there ((1, X, Y)
+    for the linear null) and its (T-1) x m per-time scores, whose curvature
+    is hessian and whose outer product is opg."""
 
     theta_hat: np.ndarray
     loglik: float
@@ -177,8 +176,7 @@ def _ridge_solve(mat: np.ndarray, rhs: np.ndarray):
     """Solve mat x = rhs; while that fails or is not finite, add the ridge
     max(1e-8 tr(mat)/m, 1e-12) I to mat, at most twice.  Returns (x, ridges
     added)."""
-    m = mat.shape[0]
-    ridge = max(1e-8 * np.trace(mat) / m, 1e-12) * np.eye(m)
+    ridge = None
     for jitter in range(3):
         try:
             x = np.linalg.solve(mat, rhs)
@@ -186,6 +184,8 @@ def _ridge_solve(mat: np.ndarray, rhs: np.ndarray):
                 return x, jitter
         except np.linalg.LinAlgError:
             pass
+        if ridge is None:
+            ridge = max(1e-8 * np.trace(mat) / len(mat), 1e-12) * np.eye(len(mat))
         mat = mat + ridge
     raise np.linalg.LinAlgError("hessian is irreparably singular")
 
@@ -203,38 +203,6 @@ def sandwich_cov(hessian: np.ndarray, opg: np.ndarray):
     return cov, se, jitter
 
 
-def ols_fit_linear(panel: Panel, net: Network) -> FitResult:
-    """Least squares of Y_t on Z = (1, X_{t-1}, Y_{t-1}) by the corrected
-    semi-normal equations (Bjorck 1987): G theta = Z'y with the Gram matrix
-    G = Z'Z of _score_parts, then one step theta += G^-1 Z'(y - Z theta)
-    from the data's residual.  A rank deficient Z raises (_gram_inverse).
-    The final residual, behind the scores, the sandwich and the residual sum
-    of squares, is y - fitted with fitted the linear mean at theta_hat, the
-    residual the linearity tests use; Z is handed over as the stack."""
-    y_now, y_lag, x_lag = lagged_design(panel, net)
-    if panel.t < 3:
-        raise ValueError("least squares needs T >= 3")
-    cols = np.stack([np.ones_like(x_lag), x_lag, y_lag])
-    s_y, gram = _score_parts(cols, y_now)
-    gram_inv = _gram_inverse(gram)
-    theta = gram_inv @ s_y.sum(axis=0)
-    resid = y_now - np.tensordot(theta, cols, axes=1)
-    theta += gram_inv @ np.einsum("ant,nt->a", cols, resid)
-    fitted = mean_elementwise(ModelSpec.linear(theta, "cont"), x_lag, y_lag)
-    resid = y_now - fitted
-    s_t = np.einsum("ant,nt->ta", cols, resid)
-    opg = s_t.T @ s_t
-    cov, se, jitter = sandwich_cov(gram, opg)
-    rss = float(np.vdot(resid, resid))
-    return FitResult(
-        theta_hat=theta, loglik=-0.5 * rss,
-        score_at_opt=s_t.sum(axis=0), hessian=gram, opg=opg, cov=cov, se=se,
-        iterations=1, converged=True, method="OLS", family="linear",
-        domain="cont", sigma2_hat=rss / resid.size, jitter_applied=jitter,
-        n_obs=y_now.size, design=(y_now, y_lag, x_lag), fitted=fitted,
-        stack=cols, scores=s_t)
-
-
 def _default_start(panel: Panel, spec: ModelSpec) -> np.ndarray:
     theta = np.full(spec.n_active, 0.2)
     theta[0] = max(float(np.mean(panel.values)) * 0.6, _LOWER)
@@ -244,77 +212,96 @@ def _default_start(panel: Panel, spec: ModelSpec) -> np.ndarray:
 
 
 def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitResult:
-    """Newton iterations with step halving for the working Poisson likelihood.
+    """Newton with step halving on the working Poisson likelihood (counts) or
+    the Gaussian one, -RSS/2 (continuous panels, linear family only).
 
-    Count-domain coordinates are projected onto [_LOWER, inf).  Newton stops
-    when max|score| < _SCORE_TOL * (number of cells), when a step moves every
-    coordinate less than _STEP_TOL, when no halving ascends or after
-    _MAX_ITER iterations; converged means the projected score (zero where a
-    coordinate at _LOWER has its score pointing out) is below that.  Scores
-    and curvature are formed once per accepted iterate, with the weights
-    in two reused buffers; the derivative stack is built once when the
-    mean is linear in its estimable coordinates (every family but drift).
-    A rank deficient (1, X, Y) raises before Newton, as in least squares.
+    A rank deficient (1, X, Y) stack Z raises first (_gram_inverse).  Least
+    squares starts at the corrected semi-normal solution (Bjorck 1987),
+    G theta = Z'y refined by theta += G^-1 Z'(y - Z theta), G = Z'Z, which
+    the first score check certifies.  Counts start at theta0 or
+    _default_start, projected onto [_LOWER, inf).  Newton stops when
+    max|score| < _SCORE_TOL * (number of cells), times max(1, RSS/n) for
+    least squares, when a step moves every coordinate less than _STEP_TOL,
+    no halving ascends or after _MAX_ITER iterations; converged means the
+    projected score (zero at _LOWER where the score points out) is below it.
     """
-    if spec.domain != "count":
-        raise ValueError("qmle_fit expects a count-domain spec")
-    if not panel.is_count():
+    count = spec.domain == "count"
+    if not (count or spec.family == "linear"):
+        raise ValueError(f"a continuous fit takes the linear family only, not {spec.family}")
+    if count and not panel.is_count():
         raise ValueError("qmle_fit expects a nonnegative integer panel")
     y_now, y_lag, x_lag = lagged_design(panel, net)
-    lin = np.stack([np.ones_like(x_lag), x_lag, y_lag])
-    _gram_inverse(lin.reshape(3, -1) @ lin.reshape(3, -1).T)     # least squares' rank rule
+    if not count and panel.t < 3:
+        raise ValueError("least squares needs T >= 3")
+    lin = np.empty((3, *x_lag.shape))
+    lin[0], lin[1], lin[2] = 1.0, x_lag, y_lag
     n_obs = y_now.size
-    theta = np.maximum(np.asarray(theta0, dtype=float) if theta0 is not None
-                       else _default_start(panel, spec), _LOWER)
+    if count:       # least squares' rank rule; one product is cheaper than the kernel's blocks
+        _gram_inverse(lin.reshape(3, -1) @ lin.reshape(3, -1).T)
+        theta = np.asarray(theta0 if theta0 is not None else _default_start(panel, spec), float)
+    else:           # the corrected semi-normal solution, whose rank rule raises first
+        s_y, gram = _score_parts(lin, y_now)
+        gram_inv = _gram_inverse(gram)
+        theta = gram_inv @ s_y.sum(axis=0)
+        theta += gram_inv @ np.einsum("ant,nt->a", lin, y_now - np.tensordot(theta, lin, axes=1))
+    lower = _LOWER if count else -np.inf            # the count box
+    theta = np.maximum(theta, lower)
 
-    def loglik_at(t):
+    def evaluate(t):    # (quasi-log-likelihood, mean, least squares' residual Y - lam)
         lam = mean_elementwise(spec.with_active(t), x_lag, y_lag)
+        if not count:
+            resid = y_now - lam
+            return -0.5 * float(np.vdot(resid, resid)), lam, resid
         if not (lam.min() > _LAM_FLOOR and lam.max() < np.inf):
-            return -np.inf, None
-        return _poisson_loglik(y_now, lam), lam
+            return -np.inf, None, None
+        return _poisson_loglik(y_now, lam), lam, None
 
-    ll, lam = loglik_at(theta)
+    ll, lam, resid = evaluate(theta)
     if not np.isfinite(ll):
         raise ValueError("starting value is inadmissible")
+    tol = _SCORE_TOL * (n_obs if count else max(n_obs, -2.0 * ll))     # -RSS/2: squared units
 
     buffers = np.empty_like(y_now), np.empty_like(y_now)
     cols = lin if spec.family == "linear" else None     # jac_elementwise's linear stack
 
-    def parts_at(t, lam_t):
+    def parts_at(t, lam_t, resid_t):
         nonlocal cols
-        sp = spec.with_active(t)
-        second = hess_elementwise(sp, x_lag, y_lag)
-        if cols is None or second is not None:      # only a curved mean moves the stack
-            cols = jac_elementwise(sp, x_lag, y_lag)
-        s_t, hess = _score_parts(cols, *_weights("count", y_now, lam_t, buffers), second)
+        if resid_t is not None:     # the score weight; unit curvature on the fixed stack is G
+            s_t, hess = np.einsum("ant,nt->ta", lin, resid_t), gram
+        else:
+            sp = spec.with_active(t)
+            second = hess_elementwise(sp, x_lag, y_lag)
+            if cols is None or second is not None:      # only a curved mean moves the stack
+                cols = jac_elementwise(sp, x_lag, y_lag)
+            s_t, hess = _score_parts(cols, *_weights("count", y_now, lam_t, buffers), second)
         return s_t, hess, s_t.sum(axis=0)
 
-    s_t, hess, score = parts_at(theta, lam)
+    s_t, hess, score = parts_at(theta, lam, resid)
     jitter_total = 0
     for iters in range(1, _MAX_ITER + 1):
-        if np.max(np.abs(score)) < _SCORE_TOL * n_obs:
+        if np.max(np.abs(score)) < tol:
             break
         step, jitter = _ridge_solve(hess, score)
         jitter_total += jitter
 
         scale = 1.0
         for _ in range(40):
-            cand = np.maximum(theta + scale * step, _LOWER)
-            ll_new, lam_new = loglik_at(cand)
-            if ll_new >= ll - 1e-12:
+            cand = np.maximum(theta + scale * step, lower)
+            at_cand = evaluate(cand)
+            if at_cand[0] >= ll - 1e-12:
                 break
             scale *= 0.5
         else:
             break
         moved = np.max(np.abs(cand - theta))
-        theta, ll, lam = cand, ll_new, lam_new
-        s_t, hess, score = parts_at(theta, lam)
+        theta, (ll, lam, resid) = cand, at_cand
+        s_t, hess, score = parts_at(theta, lam, resid)
         if moved < _STEP_TOL:
             break
 
     # a coordinate on the bound whose score points out of the box is stationary
-    projected = np.where((theta <= _LOWER) & (score < 0), 0.0, score)
-    converged = bool(np.max(np.abs(projected)) < _SCORE_TOL * n_obs)
+    projected = np.where((theta <= lower) & (score < 0), 0.0, score)
+    converged = bool(np.max(np.abs(projected)) < tol)
     opg = s_t.T @ s_t
     cov, se, jitter = sandwich_cov(hess, opg)
     if not converged:
@@ -322,6 +309,12 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
     return FitResult(
         theta_hat=theta, loglik=ll, score_at_opt=score, hessian=hess,
         opg=opg, cov=cov, se=se, iterations=iters, converged=converged,
-        method="QMLE", family=spec.family, domain="count",
+        method="QMLE" if count else "OLS", family=spec.family, domain=spec.domain,
+        sigma2_hat=None if count else -2.0 * ll / n_obs,
         jitter_applied=jitter_total + jitter, n_obs=n_obs,
         design=(y_now, y_lag, x_lag), fitted=lam, stack=cols, scores=s_t)
+
+
+def ols_fit_linear(panel: Panel, net: Network) -> FitResult:
+    """Least squares of Y_t on (1, X_{t-1}, Y_{t-1}), qmle_fit's continuous case."""
+    return qmle_fit(panel, net, ModelSpec.linear((0.0, 0.0, 0.0), "cont"))

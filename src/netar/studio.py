@@ -223,16 +223,17 @@ def _worker(args):
             warnings.simplefilter("ignore")
             return rep, _run_replication(sc, net, base_seed, s_idx, rep), None
     except Exception as exc:  # noqa: BLE001 - failures are tabulated, not fatal
-        return rep, None, f"{type(exc).__name__}: {exc}"
+        return rep, None, (type(exc).__name__, str(exc))
 
 
 def run_mc_study(cfg: StudyConfig, threads: int = 1):
     """Run every scenario; returns (rows, raw) where raw maps scenario name
     to the per-replication statistic draws (for QQ-style diagnostics).
 
-    Failed replications are excluded and counted; a scenario aborts if
-    more than 1 percent of its replications fail.  threads is the worker
-    count, a positive integer (1 runs in this process).
+    Failed replications are excluded and counted; a scenario aborts if more
+    than 1 percent fail, counting them by exception type with the first
+    message of each.  threads is the worker count, a positive integer (1
+    runs in this process).
     """
     if not isinstance(threads, Integral) or threads < 1:
         raise ValueError(f"threads must be a positive integer, got {threads!r}")
@@ -253,9 +254,12 @@ def run_mc_study(cfg: StudyConfig, threads: int = 1):
         errors = [err for _, _, err in outs if err is not None]
 
         if len(errors) > sc.reps * 0.01:
+            by_type: dict = {}          # type -> [count, first message], in replication order
+            for kind, msg in errors:
+                by_type.setdefault(kind, [0, msg])[0] += 1
             raise RuntimeError(
-                f"scenario {sc.name!r}: {len(errors)}/{sc.reps} replications "
-                f"failed; first error: {errors[0]}")
+                f"scenario {sc.name!r}: {len(errors)}/{sc.reps} replications failed: "
+                + "; ".join(f"{kind} x{n} (first: {msg})" for kind, (n, msg) in by_type.items()))
         used = sorted(results)
         pvals = np.array([results[r][0] for r in used])
         stats = np.array([results[r][1] for r in used])

@@ -69,6 +69,13 @@ def test_cli_nar_sim_and_fit(tmp_path):
     fit = json.loads(fit_file.read_text())
     assert fit["method"] == "OLS"
     assert abs(fit["theta_hat"][2] - 0.5) < 0.3
+    # the one fit takes continuous panels with the linear family only
+    with pytest.raises(ValueError, match="^a continuous fit takes the linear family only, "
+                                         "not stnar$"):
+        main(["fit", "--family", "nar", "--spec", "stnar:alpha=0.3,gamma=1",
+              "--net", str(net_file), "--panel", str(panel_file),
+              "-o", str(tmp_path / "stnar.json")])
+    assert not (tmp_path / "stnar.json").exists()
 
 
 def test_cli_sim_deterministic(tmp_path):

@@ -777,6 +777,19 @@ def test_count_simulation_rejects_a_non_finite_intensity(small_net, bad, monkeyp
             simulate_count(spec, small_net, cop, SimConfig(T=10, burn_in=0, seed=2))
 
 
+def test_explosive_continuous_panel_fails_as_counts_do():
+    # b1 + b2 = 1.8: the panel overflows to inf and then nan, a non-finite cell
+    # stays non-finite at its node, and the stored buffer is checked once after
+    # the loop, with numpy's overflow warnings silenced in it
+    net = na.gen_sbm(50, 2, seed=1)
+    spec = ModelSpec.linear((1.0, 0.9, 0.9), "cont")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeError,
+                           match=r"^non-finite value at step 1207; parameters look explosive$"):
+            na.simulate_gaussian(spec, net, SimConfig(T=3000, burn_in=0, seed=1, init=0.0))
+
+
 def test_count_simulation_rejects_a_singular_copula_before_any_step(small_net):
     # from a zero start the start draw reads no copula rows, so the dimension
     # check must not wait for the first step's draw, whose ValueError the step

@@ -104,16 +104,18 @@ def _count_calls(monkeypatch, func):
 
 @pytest.mark.parametrize("domain", ["count", "cont"])
 def test_lm_test_builds_the_design_once(small_net, request, monkeypatch, domain):
-    # the null fit builds the design and hands it, with its fitted mean and its
-    # linear block, to the test: outside the fit the test builds no design and
-    # calls neither the score kernel nor the derivative stack
+    # the null fit, one qmle_fit call in either domain, builds the design and
+    # hands it, with its fitted mean and its linear block, to the test: outside
+    # the fit the test builds no design and calls neither the score kernel nor
+    # the derivative stack
     panel = request.getfixturevalue(f"{domain}_panel")
+    fit = qmle.qmle_fit
     calls = {f: _count_calls(monkeypatch, f)
-             for f in (lagged_design, qmle._score_parts, model.jac_elementwise)}
+             for f in (lagged_design, qmle._score_parts, model.jac_elementwise, fit)}
     _null_design(panel, small_net, domain)
     in_fit = {f: len(c) for f, c in calls.items()}
     lm_test(panel, small_net, ModelSpec.drift((1.0, 0.2, 0.2), 0.0, domain))
-    assert in_fit[lagged_design] == 1
+    assert in_fit[lagged_design] == in_fit[fit] == 1
     assert {f: len(c) - in_fit[f] for f, c in calls.items()} == in_fit
 
 
@@ -137,6 +139,23 @@ def test_degenerate_input_fails_with_the_rank_message(domain, case):
     for family, grid in (("stnar", default_grid("stnar")), ("tnar", GammaGrid([0.5, 1.0]))):
         with pytest.raises(ValueError, match="design matrix is rank deficient"):
             lm_profile(panel, net, family, grid, domain)
+
+
+@pytest.mark.filterwarnings("ignore:.*zero out-degree")
+def test_short_least_squares_drift_test_fails_with_its_message():
+    # B11 = s1's1 has rank at most T-1 and s1 sums to 0 at the fit, so with
+    # T-1 <= 4 the effective score is 0 or a multiple of 1: at T = 3 numpy's
+    # solve raised a bare "Singular matrix", and T = 4 and 5 read exactly T-1
+    net = na.gen_sbm(20, 2, 1)
+    spec = ModelSpec.linear((1.0, 0.3, 0.2), "cont")
+    drift = ModelSpec.drift((1.0, 0.2, 0.2), 0.0, "cont")
+    for t in (3, 4, 5):
+        panel = na.simulate_gaussian(spec, net, SimConfig(T=t, burn_in=50, seed=1))
+        with pytest.raises(ValueError, match=rf"^the least-squares drift test needs "
+                                             rf"T >= 6, got T = {t}$"):
+            lm_test(panel, net, drift)
+    panel = na.simulate_gaussian(spec, net, SimConfig(T=6, burn_in=50, seed=1))
+    assert 0.0 <= lm_test(panel, net, drift).statistic < 5.0 - 1e-6
 
 
 @pytest.mark.parametrize("family, domain, grid", [

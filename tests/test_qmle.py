@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,6 +146,19 @@ def test_ols_sigma2_is_mean_squared_residual(small_net, cont_panel):
     y_now, y_lag, x_lag = lagged_design(cont_panel, small_net)
     lam = fit.theta_hat[0] + fit.theta_hat[1] * x_lag + fit.theta_hat[2] * y_lag
     assert fit.sigma2_hat == pytest.approx(np.mean((y_now - lam) ** 2))
+
+
+def test_least_squares_certifies_its_start_at_any_data_scale(small_net, cont_panel):
+    # least squares' score is in the data's squared units: in units a million
+    # times larger the corrected semi-normal solution leaves a score far above
+    # 1e-6 per cell, so the first score check scales its tolerance by RSS/n and
+    # the null fit the linearity tests need still takes one iteration
+    base = ols_fit_linear(cont_panel, small_net)
+    for scale in (1e-6, 1e6, 1e12):
+        fit = ols_fit_linear(Panel(cont_panel.values * scale), small_net)
+        assert fit.iterations == 1 and fit.converged
+        assert np.allclose(fit.theta_hat, base.theta_hat * [scale, 1.0, 1.0], rtol=1e-9)
+        assert fit.sigma2_hat == pytest.approx(base.sigma2_hat * scale**2, rel=1e-9)
 
 
 def _null_fits():
@@ -409,5 +423,10 @@ def test_qmle_coverage_of_sandwich_intervals():
 
 
 def test_qmle_rejects_continuous_spec(small_net, cont_panel):
-    with pytest.raises(ValueError):
-        qmle_fit(cont_panel, small_net, ModelSpec.linear((1.0, 0.3, 0.2), "cont"))
+    # least squares is the linear continuous case; non-linear continuous fits
+    # are not offered
+    for family in ("drift", "stnar", "tnar"):
+        spec = replace(_FIT_SPECS[family], domain="cont")
+        with pytest.raises(ValueError,
+                           match=f"^a continuous fit takes the linear family only, not {family}$"):
+            qmle_fit(cont_panel, small_net, spec)

@@ -266,6 +266,21 @@ def test_failing_scenario_aborts():
         run_mc_study(cfg)
 
 
+def test_aborted_scenario_counts_failures_by_type(monkeypatch):
+    failures = {0: ValueError("bad panel 0"), 1: RuntimeError("explosive 1"),
+                3: ValueError("bad panel 3")}
+
+    def replication(sc, net, base_seed, s_idx, rep):
+        if rep in failures:
+            raise failures[rep]
+        return 0.5, 1.0
+    monkeypatch.setattr("netar.studio._run_replication", replication)
+    with pytest.raises(RuntimeError, match="^" + re.escape(
+            "scenario 'tiny': 3/4 replications failed: ValueError x2 (first: bad panel 0); "
+            "RuntimeError x1 (first: explosive 1)") + "$"):
+        run_mc_study(_tiny_cfg(reps=4))
+
+
 # file IO -------------------------------------------------------------------------
 
 def test_panel_csv_round_trip(tmp_path, small_net, count_panel):
