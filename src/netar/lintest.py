@@ -13,13 +13,13 @@ cancel.  The statistic is referred to a chi-square with as many degrees
 of freedom as tested coordinates; this is unaffected by the tested value
 sitting on the parameter boundary.
 
-The linear block (scores, curvature and score outer product of
-(1, X, Y)) is the null fit's, handed over by _null_design; the drift test
-and the stnar profile form only their own columns.  The statistic uses the
-unprojected partial score (the nonlinear-block total, which is the partial
-score at the constrained fit because the linear-block score vanishes
-there); the projection of the linear block lives in Sigma.  The statistic
-is ||S^-1 V' partial||^2 from the thin SVD E = U S V' of the effective
+The null fit (_null_design) hands over its weights at theta_hat and its
+linear block (scores, curvature and score outer product of (1, X, Y)), so
+the drift test and the stnar profile form only their own columns.  The
+statistic uses the unprojected partial score (the nonlinear-block total,
+the partial score at the constrained fit, where the linear-block score
+vanishes); the projection of the linear block lives in Sigma.  It is
+||S^-1 V' partial||^2 from the thin SVD E = U S V' of the effective
 scores (_whiten, shared with the profiles), so Sigma is never inverted.
 """
 
@@ -33,7 +33,7 @@ from scipy.special import gammaincc
 from .dgp import Panel
 from .model import ModelSpec
 from .netgraph import Network
-from .qmle import FitResult, _weights, ols_fit_linear, qmle_fit  # noqa: F401  (traced name)
+from .qmle import FitResult, ols_fit_linear, qmle_fit  # noqa: F401  (traced name)
 
 __all__ = [
     "ScoreTestResult",
@@ -53,9 +53,9 @@ def chi2_sf(x: float, df: int) -> float:
 
 def _null_design(panel: Panel, net: Network, domain: str) -> FitResult:
     """The linear null fitted by qmle_fit (working Poisson for counts, least
-    squares for continuous data).  It hands over its lagged design, fitted
-    mean (positive for counts) and linear block; the spec's coefficients are
-    not read."""
+    squares for continuous data).  It hands over its lagged design, its
+    score and curvature weights at theta_hat and its linear block; the
+    spec's coefficients are not read."""
     null_fit = qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2), domain))
     if not null_fit.converged:
         raise RuntimeError("null fit did not converge")
@@ -63,27 +63,28 @@ def _null_design(panel: Panel, net: Network, domain: str) -> FitResult:
 
 
 def _column_blocks(fit: FitResult, columns):
-    """The null fit's linear block s_t^(1), H11, then stacked over the
-    nonlinear columns h (an iterable of (N, T-1) arrays, read one at a
-    time): whether h is nonzero, its per-time scores s_t^(2) and H12,
-    against the fit's (1, X, Y) stack with the weights at its fitted mean."""
-    resid, curf = _weights(fit.domain, fit.design[0], fit.fitted)
+    """Stacked over the nonlinear columns h (an iterable of (N, T-1) arrays,
+    read one at a time): whether h is nonzero, its per-time scores s_t^(2)
+    and H12 against the fit's (1, X, Y) stack, with the fit's weights."""
+    resid, curf = fit.weights
     zc = (fit.stack if curf is None else fit.stack * curf).reshape(3, -1)
     parts = [(h.any(), np.einsum("nt,nt->t", h, resid)[:, None], zc @ h.reshape(-1, 1))
              for h in columns]
-    return (fit.scores, fit.hessian, *map(np.array, zip(*parts)))
+    return tuple(map(np.array, zip(*parts)))
 
 
-def _whiten(effective: np.ndarray):
+def _whiten(effective: np.ndarray, scores: np.ndarray):
     """Thin SVD E = U S V' of effective scores (one (T-1) x k matrix or a
     stack) and the rank of each: Sigma = E'E = V S^2 V', so x' Sigma^-1 x is
     ||S^-1 V' x||^2 and w' E Sigma^-1 E' w is ||U'w||^2 without inverting
-    Sigma, whose condition number is the square of E's.  Singular values
-    with s^2 at most 1e-12 s_max^2, or subnormal, count as zero."""
+    Sigma, whose condition number is the square of E's.  A singular value
+    counts if s^2 > max(1e-12 s_max^2, 1e-24 r, tiny), r the largest squared
+    column norm of the unprojected scores s_t^(2) that E projects: a column
+    in the linear block's span leaves E at their rounding level."""
     u, s, vt = np.linalg.svd(effective, full_matrices=False)
-    sq = s * s
-    rank = (sq > np.maximum(1e-12 * sq[..., :1], np.finfo(float).tiny)).sum(axis=-1)
-    return u, s, vt, rank
+    sq, r = s * s, np.square(scores).sum(axis=-2).max(axis=-1, keepdims=True)
+    floor = np.maximum(np.maximum(1e-12 * sq[..., :1], 1e-24 * r), np.finfo(float).tiny)
+    return u, s, vt, (sq > floor).sum(axis=-1)
 
 
 @dataclass
@@ -118,9 +119,9 @@ def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec) -> ScoreTestResult:
         raise ValueError("the identifiable-parameter test is against the drift family")
     domain = alt_spec.domain
     fit = _null_design(panel, net, domain)
-    x_lag, b0 = fit.design[2], fit.theta_hat[0]
+    x_lag, b0, s1, m11 = fit.design[2], fit.theta_hat[0], fit.scores, fit.hessian
     h = -b0 * np.log1p(x_lag if domain == "count" else np.abs(x_lag))
-    s1, m11, _, (s2,), (m12,) = _column_blocks(fit, [h])
+    _, (s2,), (m12,) = _column_blocks(fit, [h])
     partial = s2.sum(axis=0)
     if domain == "count":       # the cross curvature sum resid log(1 + X) is -partial / b0
         m12[0] -= partial / b0
@@ -129,7 +130,7 @@ def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec) -> ScoreTestResult:
             raise ValueError(f"the least-squares drift test needs T >= 6, got T = {len(s1) + 1}")
         m11, m12 = fit.opg, s1.T @ s2
     effective = s2 - s1 @ np.linalg.solve(m11, m12)
-    _, s, vt, rank = _whiten(effective)
+    _, s, vt, rank = _whiten(effective, s2)
     if rank < partial.shape[0]:
         raise np.linalg.LinAlgError("score covariance is singular")
     stat, df = float(np.sum(np.square(vt @ partial / s))), 1

@@ -9,16 +9,16 @@ where h is the family's nonlinear regressor block:
     stnar  h_it(g) = exp(-g * X^2) * X                       (one column)
     tnar   h_it(g) = (1, X, Y) * 1{X <= g}                   (three columns)
 
-The weights come from the lagged design and fitted mean the null fit hands
-over.  The linear block (scores of 1, X, Y and curvature H11) does not
-depend on g and is computed once: stnar takes it from the null fit, which
-formed it at the fitted mean, with the (1, X, Y) stack, and forms only
-h(g) at each grid point; tnar reads it and every point's s_t^(2)(g) and
-H12(g) from cumulative sums over one binning of the cells, read in blocks
-of node rows.  The curvature projects the linear block out of every
-per-time score; the outer product of these effective scores E(g) is the
-score covariance Sigma(g).  lintest._whiten factors E = U S V', so the statistic is
-||U'1||^2 and Sigma(g) is never inverted.
+The null fit hands over its lagged design and its weights at theta_hat.
+The linear block (scores of 1, X, Y and curvature H11) does not depend on
+g: stnar takes it from the null fit, with the (1, X, Y) stack, and forms
+only h(g) at each grid point; tnar reads it and every point's s_t^(2)(g)
+and H12(g) from cumulative sums over one binning of the cells, read in
+blocks of node rows that slice the fit's weights.  The curvature projects
+the linear block out of every per-time score; the outer product of these
+effective scores E(g) is the score covariance Sigma(g).  lintest._whiten
+factors E = U S V', so the statistic is ||U'1||^2 and Sigma(g) is never
+inverted.
 
 The supremum or average of the profile is calibrated either by the Davies
 upper bound (scalar smooth nuisance only) or by Hansen's multiplier
@@ -41,7 +41,7 @@ from .dgp import Panel
 from .lintest import _column_blocks, _null_design, _whiten, chi2_sf
 from .model import _h_columns
 from .netgraph import Network
-from .qmle import _CURV_BLOCK, FitResult, _weights, lagged_design
+from .qmle import _CURV_BLOCK, FitResult, lagged_design
 from .qmle import ols_fit_linear, qmle_fit  # noqa: F401  (names perfbench traces)
 
 __all__ = [
@@ -170,9 +170,10 @@ def _tnar_bins(grid, x):
     return bins
 
 
-def _tnar_blocks(grid, x, y, y_now, lam, domain):
-    """As _column_blocks for the columns (1, X, Y) * 1{X <= g}.  A cell is in
-    bin b <= j exactly when X <= g_j, so cumulative sums over the bins give
+def _tnar_blocks(grid, x, y, resid, curf):
+    """s_t^(1), H11, then as _column_blocks for (1, X, Y) * 1{X <= g}, with
+    the null fit's weights resid and curf (None: unit curvature).  A cell is
+    in bin b <= j exactly when X <= g_j, so cumulative sums over the bins give
     every masked sum (the last bin's: the linear block).  The cells are read
     in blocks of whole node rows, about _CURV_BLOCK cells each, so no array
     of the panel's size is formed; np.add.at adds a block's weights into the
@@ -183,15 +184,15 @@ def _tnar_blocks(grid, x, y, y_now, lam, domain):
     by_time, by_bin = np.zeros((3, tm1 * (num + 1))), np.zeros((6, num + 1))
     lo, top, rows = np.array([num, num]), 0, max(1, _CURV_BLOCK // tm1)
     for i in range(0, n, rows):
-        xb, yb = x[i:i + rows], y[i:i + rows]
-        resid, curf = _weights(domain, y_now[i:i + rows], lam[i:i + rows])
+        xb, yb, rb = x[i:i + rows], y[i:i + rows], resid[i:i + rows]
+        cb = None if curf is None else curf[i:i + rows]
         bins = _tnar_bins(grid, xb)
         cells = (bins + (num + 1) * np.arange(tm1)).ravel()
         for acc, v in zip(by_time, (None, xb, yb)):       # acc[cells] += w in cell order
-            np.add.at(acc, cells, (resid if v is None else resid * v).ravel())
-        cx, cy = (xb, yb) if curf is None else (curf * xb, curf * yb)
-        pairs = [(curf, None), (cx, None), (cy, None), (cx, xb), (cx, yb), (cy, yb)]
-        for acc, (a, b) in zip(by_bin, pairs):            # curf None: unit weight
+            np.add.at(acc, cells, (rb if v is None else rb * v).ravel())
+        cx, cy = (xb, yb) if cb is None else (cb * xb, cb * yb)
+        pairs = [(cb, None), (cx, None), (cy, None), (cx, xb), (cx, yb), (cy, yb)]
+        for acc, (a, b) in zip(by_bin, pairs):            # cb None: unit weight
             np.add.at(acc, bins.ravel(), 1.0 if a is None else (a if b is None else a * b).ravel())
         lo = np.minimum(lo, [np.where(v != 0, bins, num).min() for v in (xb, yb)])
         top = max(top, bins.max())
@@ -205,12 +206,11 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
                domain: str) -> LMProfile:
     """Quasi-score statistic at each grid point of the nuisance rate.
 
-    The linear null is fitted to the panel and hands over its lagged design
-    and fitted mean (see lintest._null_design), and for stnar its linear
-    block; they and the linear block are shared across grid points.  Count
-    panels use quasi-Poisson score weights (Y/lam - 1) and Y/lam^2
-    curvature weights, continuous panels raw residuals and unit curvature,
-    formed per row block for tnar.  Each point's statistic is ||U'1||^2
+    The linear null is fitted to the panel and hands over its lagged design,
+    its weights at theta_hat (quasi-Poisson Y/lam - 1 and Y/lam^2 for
+    counts, residuals and unit curvature for continuous panels) and, for
+    stnar, its linear block, all shared across grid points (see
+    lintest._null_design).  Each point's statistic is ||U'1||^2
     from the SVD of its effective scores E = U S V', whose outer product
     is the score covariance.  Degenerate grid points (vanishing or
     collinear nonlinear regressors, subnormal or singular covariance) are
@@ -219,11 +219,12 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     if family not in ("stnar", "tnar"):
         raise ValueError("profiled testing applies to the stnar and tnar families")
     null_fit = _null_design(panel, net, domain)
-    (y_now, y_lag, x_lag), lam = null_fit.design, null_fit.fitted
+    _, y_lag, x_lag = null_fit.design
     if family == "tnar":
-        s1, h11, ok, s2, h12 = _tnar_blocks(grid.values, x_lag, y_lag, y_now, lam, domain)
+        s1, h11, ok, s2, h12 = _tnar_blocks(grid.values, x_lag, y_lag, *null_fit.weights)
     else:
-        s1, h11, ok, s2, h12 = _column_blocks(
+        s1, h11 = null_fit.scores, null_fit.hessian
+        ok, s2, h12 = _column_blocks(
             null_fit, (_h_columns("stnar", g, x_lag, y_lag)[0] for g in grid.values))
     k2 = s2.shape[-1]
     why = np.where(ok, "", "degenerate nonlinear regressors").astype(object)
@@ -232,7 +233,7 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     except np.linalg.LinAlgError:                   # H11 is shared: every point fails
         why[ok] = "singular linear-block curvature"
     else:
-        u, _, _, rank = _whiten(effective)
+        u, _, _, rank = _whiten(effective, s2[ok])
         why[np.flatnonzero(ok)[rank < k2]] = "singular score covariance"
     dropped = [(float(g), w) for g, w in zip(grid.values, why) if w]
     if dropped:

@@ -11,12 +11,12 @@ coordinates (drift), and the count weights go to two reused buffers.
 
 The score and curvature sums here come from one private kernel,
 _score_parts: the unprojected per-time scores s_t and the curvature H of a
-derivative stack.  The linear null fit hands over its (1, X, Y) stack, s_t,
-H and B, the linear block that the drift test (lintest) and the stnar
-profile (nuisance) read.  The curvature is summed over column blocks of
-_CURV_BLOCK cells, each weighted as it is read: at paper scale (N(T-1)
-near 2e5 cells) no weighted copy of the stack is formed and each block's
-product runs on data in cache.
+derivative stack.  Only _weights forms the weights: the fit hands over
+the pair at theta_hat, and the linear null its (1, X, Y) stack, s_t, H and
+B, which the drift test (lintest) and the profiles (nuisance) read.  The
+curvature is summed over column blocks of _CURV_BLOCK cells, each weighted
+as it is read: at paper scale (N(T-1) near 2e5 cells) no weighted copy of
+the stack is formed and each block's product runs on data in cache.
 
 Time indexing: the first column of a panel conditions the recursion, so
 all sums run over the remaining T-1 time points.
@@ -54,10 +54,11 @@ _CURV_BLOCK = 1 << 13  # cells per column block of the curvature sum
 class FitResult:
     """qmle_fit's estimate, curvature matrices and sandwich standard errors
     (method "OLS", sigma2_hat = RSS/n for least squares), and what the tests
-    read (not in to_dict): the lagged design (y_now, y_lag, x_lag), the mean
-    fitted at theta_hat, the (m, N, T-1) derivative stack there ((1, X, Y)
-    for the linear null) and its (T-1) x m per-time scores, whose curvature
-    is hessian and whose outer product is opg."""
+    read (not in to_dict): the lagged design (y_now, y_lag, x_lag), the
+    score and curvature weights at theta_hat (None: unit curvature), the
+    (m, N, T-1) derivative stack there ((1, X, Y) for the linear null) and
+    its (T-1) x m per-time scores, whose curvature is hessian and whose
+    outer product is opg."""
 
     theta_hat: np.ndarray
     loglik: float
@@ -75,7 +76,7 @@ class FitResult:
     jitter_applied: int = 0
     n_obs: int = 0
     design: Optional[tuple] = None
-    fitted: Optional[np.ndarray] = None
+    weights: Optional[tuple] = None
     stack: Optional[np.ndarray] = None
     scores: Optional[np.ndarray] = None
 
@@ -311,8 +312,8 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
         opg=opg, cov=cov, se=se, iterations=iters, converged=converged,
         method="QMLE" if count else "OLS", family=spec.family, domain=spec.domain,
         sigma2_hat=None if count else -2.0 * ll / n_obs,
-        jitter_applied=jitter_total + jitter, n_obs=n_obs,
-        design=(y_now, y_lag, x_lag), fitted=lam, stack=cols, scores=s_t)
+        jitter_applied=jitter_total + jitter, n_obs=n_obs, design=(y_now, y_lag, x_lag),
+        weights=buffers if count else (resid, None), stack=cols, scores=s_t)
 
 
 def ols_fit_linear(panel: Panel, net: Network) -> FitResult:

@@ -206,13 +206,11 @@ def _run_replication(sc: Scenario, net: Network, base_seed: int, s_idx: int,
     grid = test["grid"]
     if grid is None:
         grid = default_grid(test["alt"], panel=panel, net=net)
-    if test["kind"] == "davies":
-        res = run_profile_test(panel, net, test["alt"], sc.domain, grid=grid,
-                               method="davies")
-        return res.davies_p, res.g_sup
     res = run_profile_test(
-        panel, net, test["alt"], sc.domain, grid=grid, method="bootstrap",
+        panel, net, test["alt"], sc.domain, grid=grid, method=test["kind"],
         agg=test["agg"], reps=test["J"], seed=rng.mix_seed(base_seed, s_idx, rep, 0xB0))
+    if test["kind"] == "davies":
+        return res.davies_p, res.g_sup
     return res.boot_p, aggregate(res.profile, test["agg"])
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -69,3 +71,23 @@ def cont_panel(small_net):
 @pytest.fixture
 def rs():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(func) wraps func wherever a netar module holds it and
+    returns the list that each call appends to."""
+    def wrap(func):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return func(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "netar" or name.startswith("netar."):
+                for attr, val in list(vars(mod).items()):
+                    if val is func:
+                        monkeypatch.setattr(mod, attr, counted)
+        return calls
+    return wrap

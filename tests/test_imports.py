@@ -1,10 +1,13 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import netar
+from netar import qmle
 
 
 def test_import_loads_only_the_sparse_and_special_scipy_subpackages():
@@ -32,3 +35,13 @@ def test_benchmark_finds_every_name_it_imports_or_traces():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_only_qmle_binds_the_weights():
+    # the null fit hands its score and curvature weights to the tests, so the
+    # domain rule behind them lives in qmle alone
+    for info in pkgutil.iter_modules(netar.__path__):
+        if info.name != "qmle":
+            names = vars(importlib.import_module(f"netar.{info.name}"))
+            assert "_weights" not in names, info.name
+            assert not any(v is qmle._weights for v in names.values()), info.name

@@ -1,4 +1,3 @@
-import sys
 import warnings
 
 import numpy as np
@@ -50,20 +49,35 @@ def test_chi2_sf_rejects_bad_arguments():
 # whitening ----------------------------------------------------------------------
 
 def test_whiten_rank_rule_handles_rank_deficiency():
-    # an eigenvalue s^2 of E'E counts when above 1e-12 times the largest
-    u, s, vt, rank = _whiten(np.column_stack([np.arange(1.0, 6.0), np.zeros(5)]))
+    # an eigenvalue s^2 of E'E counts when above 1e-12 times the largest; E
+    # as its own unprojected scores leaves that rule alone, since no column
+    # norm exceeds s_max
+    effective = np.column_stack([np.arange(1.0, 6.0), np.zeros(5)])
+    u, s, vt, rank = _whiten(effective, effective)
     assert rank == 1
     assert s[0] == pytest.approx(np.sqrt(55.0)) and s[1] < 1e-12
     assert np.allclose(u[:, 0] * s[0] * vt[0, 0], np.arange(1.0, 6.0))
     stack = np.stack([np.diag([1.0, 1.01e-6]), np.diag([1.0, 0.99e-6])])
-    assert list(_whiten(stack)[3]) == [2, 1]
+    assert list(_whiten(stack, stack)[3]) == [2, 1]
+
+
+def test_whiten_rank_is_relative_to_the_unprojected_scores():
+    # an effective score at 1e-12 of its scores' column norm or below is what
+    # projecting a column in the span of the linear block leaves: rounding
+    scores = np.ones((4, 1))                        # squared column norm 4
+    assert _whiten(np.array([[1e-12], [0.0], [0.0], [0.0]]), scores)[3] == 0
+    assert _whiten(np.array([[1e-11], [0.0], [0.0], [0.0]]), scores)[3] == 1
+    stack = np.stack([np.diag([1e-11, 1e-13]), np.diag([1e-11, 1e-11])])
+    assert list(_whiten(stack, np.ones((2, 2, 2)))[3]) == [1, 2]
 
 
 def test_whiten_treats_subnormal_squares_as_zero():
     # alone, a singular value whose square is subnormal passes any relative
     # cutoff; the whitening S^-1 would then overflow the statistic
-    assert _whiten(np.array([[1e-155]]))[3] == 0
-    _, s, _, rank = _whiten(np.diag([1e-150, 1e-155]))
+    tiny = np.array([[1e-155]])
+    assert _whiten(tiny, tiny)[3] == 0
+    pair = np.diag([1e-150, 1e-155])
+    _, s, _, rank = _whiten(pair, pair)
     assert rank == 1 and s[0] == pytest.approx(1e-150)
 
 
@@ -85,33 +99,16 @@ def test_lm_test_basic_output_contract(small_net, cont_panel, count_panel):
         assert res.null_fit.converged
 
 
-def _count_calls(monkeypatch, func):
-    """Wrap func wherever a netar module holds it; returns the list that each
-    call appends to."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return func(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "netar" or name.startswith("netar."):
-            for attr, val in list(vars(mod).items()):
-                if val is func:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
-
-
 @pytest.mark.parametrize("domain", ["count", "cont"])
-def test_lm_test_builds_the_design_once(small_net, request, monkeypatch, domain):
+def test_lm_test_builds_the_design_once(small_net, request, count_calls, domain):
     # the null fit, one qmle_fit call in either domain, builds the design and
-    # hands it, with its fitted mean and its linear block, to the test: outside
-    # the fit the test builds no design and calls neither the score kernel nor
-    # the derivative stack
+    # hands it, with its weights and its linear block, to the test: outside
+    # the fit the test builds no design and calls neither the weights, the
+    # score kernel nor the derivative stack
     panel = request.getfixturevalue(f"{domain}_panel")
     fit = qmle.qmle_fit
-    calls = {f: _count_calls(monkeypatch, f)
-             for f in (lagged_design, qmle._score_parts, model.jac_elementwise, fit)}
+    calls = {f: count_calls(f) for f in (lagged_design, qmle._weights, qmle._score_parts,
+                                         model.jac_elementwise, fit)}
     _null_design(panel, small_net, domain)
     in_fit = {f: len(c) for f, c in calls.items()}
     lm_test(panel, small_net, ModelSpec.drift((1.0, 0.2, 0.2), 0.0, domain))
@@ -329,7 +326,7 @@ def test_sigma_matches_long_double_outer_product(small_net, count_panel, cont_pa
     grid = np.array([0.5 * (cells[-5] + cells[-4])])
     prof = lm_profile(count_panel, small_net, "tnar", GammaGrid(grid), "count")
     lam = mean_elementwise(ModelSpec.linear(prof.null_fit.theta_hat, "count"), x_lag, y_lag)
-    s1, h11, _, s2, h12 = _tnar_blocks(grid, x_lag, y_lag, y_now, lam, "count")
+    s1, h11, _, s2, h12 = _tnar_blocks(grid, x_lag, y_lag, *qmle._weights("count", y_now, lam))
     sigma, total = _long_double_sigma(s1, h11, s2[0], h12[0])
     lm = total @ _solve_ld(sigma, total[:, None])[:, 0]
     assert abs(prof.lm[0] - lm) <= 1e-11 * lm

@@ -9,7 +9,8 @@ import pytest
 
 import netar as na
 from netar.dgp import Panel, SimConfig
-from netar.lintest import chi2_sf
+from netar import model, qmle
+from netar.lintest import _null_design, chi2_sf
 from netar.model import ModelSpec, _h_columns, mean_elementwise
 from netar.nuisance import (GammaGrid, LMProfile, _node_quantiles, _tnar_bins, _tnar_blocks,
                             aggregate, davies_pvalue, default_grid, lm_profile,
@@ -147,7 +148,7 @@ def test_row_blocks_equal_the_one_pass_oracle(small_net, request, case, blocks, 
         resid, curf = y_now / lam - 1.0, y_now / (lam * lam)
     else:
         resid, curf = y_now - lam, None
-    got = _tnar_blocks(grid, x, y, y_now, lam, domain)
+    got = _tnar_blocks(grid, x, y, resid, curf)
     want = tnar_sums(grid, x, y, resid, curf)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     ok = got[2]
@@ -156,20 +157,21 @@ def test_row_blocks_equal_the_one_pass_oracle(small_net, request, case, blocks, 
 
 def test_tnar_pass_forms_no_panel_sized_array():
     # N=500, T=400: a block holds 20 rows of 399 cells (7980 <= 2^13), 64 KB per
-    # float or index array.  About eight such arrays live at once (two weights,
-    # the bins and their per-time cell index, two curvature products, one
-    # product and np.add.at's buffers), 0.5 MB, beside the (3, 399 x 11)
-    # per-time sums, 105 KB, and at the end their cumulative sums and the
-    # stacked scores, 2 x 105 KB: under 0.9 MB (0.75 MB measured with numpy
-    # 2.4).  One float array of all 199 500 cells alone holds 1.6 MB.
+    # float or index array.  About six such arrays live at once (the bins and
+    # their per-time cell index, two curvature products, one product and
+    # np.add.at's buffers; the two weights are views of the handed-over
+    # ones), 0.4 MB, beside the (3, 399 x 11) per-time sums, 105 KB, and at
+    # the end their cumulative sums and the stacked scores, 2 x 105 KB: under
+    # 0.9 MB (0.58 MB measured with numpy 2.4).  One float array of all
+    # 199 500 cells alone holds 1.6 MB.
     net = na.gen_sbm(500, 5, seed=500)
     panel, _ = _lagged_panel(net, 399, "count")
     y_now, y_lag, x_lag = lagged_design(panel, net)
-    lam = 0.5 + 0.3 * x_lag + 0.2 * y_lag
+    resid, curf = _weights("count", y_now, 0.5 + 0.3 * x_lag + 0.2 * y_lag)
     grid = default_grid("tnar", panel, net).values
     tracemalloc.start()
     try:
-        _tnar_blocks(grid, x_lag, y_lag, y_now, lam, "count")
+        _tnar_blocks(grid, x_lag, y_lag, resid, curf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -177,23 +179,22 @@ def test_tnar_pass_forms_no_panel_sized_array():
 
 
 @pytest.mark.filterwarnings("ignore:dropped .* threshold grid point")
+@pytest.mark.parametrize("family", ["stnar", "tnar"])
 @pytest.mark.parametrize("domain", ["count", "cont"])
-def test_profile_test_builds_the_design_once(small_net, request, monkeypatch, domain):
-    # the null fit builds the design and hands it to the profile; with an
-    # explicit grid nothing else needs it
-    calls = []
-
-    def counted(panel, net):
-        calls.append(panel)
-        return lagged_design(panel, net)
-
-    monkeypatch.setattr("netar.qmle.lagged_design", counted)
-    monkeypatch.setattr("netar.nuisance.lagged_design", counted)
+def test_profile_test_builds_the_design_once(small_net, request, count_calls, family, domain):
+    # the null fit builds the design and forms the weights, the scores and the
+    # derivative stack, and hands them to the profile: with an explicit grid
+    # the profile forms none of them again
     panel = request.getfixturevalue(f"{domain}_panel")
-    grid = default_grid("tnar", panel, small_net)
-    calls.clear()
-    run_profile_test(panel, small_net, "tnar", domain, grid=grid, method="bootstrap", reps=9)
-    assert len(calls) == 1
+    grid = default_grid(family, panel, small_net)
+    fit = qmle.qmle_fit
+    calls = {f: count_calls(f) for f in (lagged_design, _weights, _score_parts,
+                                         model.jac_elementwise, fit)}
+    _null_design(panel, small_net, domain)
+    in_fit = {f: len(c) for f, c in calls.items()}
+    run_profile_test(panel, small_net, family, domain, grid=grid, method="bootstrap", reps=9)
+    assert in_fit[lagged_design] == in_fit[fit] == 1
+    assert {f: len(c) - in_fit[f] for f, c in calls.items()} == in_fit
 
 
 # profile ------------------------------------------------------------------------
@@ -294,6 +295,19 @@ def test_huge_gamma_point_dropped_with_warning(small_net, cont_panel):
         prof = lm_profile(cont_panel, small_net, "stnar", grid, "cont")
     assert prof.lm.size == 1
     assert prof.dropped and prof.dropped[0][0] == pytest.approx(1e6)
+
+
+@pytest.mark.parametrize("domain", ["count", "cont"])
+def test_collinear_grid_point_dropped(small_net, request, domain):
+    # at g = 0 the stnar column exp(-g X^2) X is X itself, in the span of the
+    # linear block, so its effective score is rounding: weighed against its
+    # own size only, it looks full rank and reads lm 0.013 (count) and 3.8e-5
+    # (cont) here
+    panel = request.getfixturevalue(f"{domain}_panel")
+    with pytest.warns(UserWarning, match="dropped 1 grid point"):
+        prof = lm_profile(panel, small_net, "stnar", GammaGrid([0.0, 1e-9, 0.05, 0.5]), domain)
+    assert prof.dropped == [(0.0, "singular score covariance")]
+    assert list(prof.grid) == [1e-9, 0.05, 0.5]
 
 
 def _assert_whitens(u, effective, sigma, rs):
@@ -405,7 +419,7 @@ def test_ill_conditioned_tnar_point_matches_exact_lm(small_net, cont_panel):
     assert np.array_equal(prof.grid, grid.values)
     y_now, y_lag, x_lag = lagged_design(cont_panel, small_net)
     lam = mean_elementwise(ModelSpec.linear(prof.null_fit.theta_hat, "cont"), x_lag, y_lag)
-    s1, h11, _, s2, h12 = _tnar_blocks(grid.values, x_lag, y_lag, y_now, lam, "cont")
+    s1, h11, _, s2, h12 = _tnar_blocks(grid.values, x_lag, y_lag, y_now - lam, None)
     effective = s2 - s1 @ np.linalg.solve(h11, h12)
     assert np.linalg.cond(effective[-1]) ** 2 > 1e10
     lm = _exact_lm(effective[-1])
