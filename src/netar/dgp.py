@@ -26,11 +26,12 @@ chunks.  The rows are read off the stream in order, so neither chunk nor
 block sizes change the counts, and a panel draws less than one block more
 rows than it consumes while its chunks are shorter than a block.
 
-Both simulators form each step's neighbour average W y with
-_neighbour_average, which calls the compiled CSR product that net.w @ y
-ends in, so the sums are the same without scipy.sparse's per-call
-dispatch.  Each writes its steps as the rows of a time-major (steps, N)
-buffer and returns one C-contiguous transposed copy as the panel.
+Each warm-up step and each step of the linear family is one call of the
+compiled CSR product that net.w @ y ends in: it adds G y, with G = b1 W +
+b2 I built once per panel (_affine_map), into a row already holding b0
+(plus the step's noise on continuous panels).  Other steps form W y with
+_neighbour_average, the same product, and then mean_elementwise.  Both
+simulators return the transposed copy of a time-major (steps, N) buffer.
 """
 
 from __future__ import annotations
@@ -194,6 +195,14 @@ def _neighbour_average(w, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _affine_map(w, b1: float, b2: float) -> tuple:
+    """csr_matvec's matrix arguments for G = b1 W + b2 I, its diagonal last in each row."""
+    n, ends = w.shape[0], w.indptr[1:]
+    return (n, n, w.indptr + np.arange(n + 1, dtype=w.indptr.dtype),
+            np.insert(w.indices, ends, np.arange(n, dtype=w.indices.dtype)),
+            np.insert(b1 * w.data, ends, b2))
+
+
 def _warmup_steps(b1: float, b2: float) -> int:
     """Least K at which sum_{j<K} G^j sigma*xi_j omits at most _TAIL_TOL*sigma^2.
 
@@ -281,10 +290,10 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
     """Continuous-panel recursion Y_t = lam(W Y_{t-1}, Y_{t-1}) + sigma*xi_t.
 
     lam is the mean of the embedded linear model during the warm-up steps
-    and spec's mean after them.  Each step forms W Y_{t-1} with
-    _neighbour_average in one reused buffer; the stored steps are the rows
-    of a time-major buffer whose transposed copy is the C-contiguous panel;
-    a non-finite value in it raises RuntimeError naming its step.
+    and spec's mean after them.  Each block of steps draws its noise into
+    its rows (warm-up rows into one scratch block); affine steps add b0 and
+    G Y, so they agree with b0 + b1 W Y + b2 Y + noise to about 1e-15 of
+    the panel's scale.  A non-finite cell raises RuntimeError naming its step.
 
     Initialization modes (the noise is drawn in blocks of _NOISE_ROWS steps):
       "stationary"        stationary Gaussian start, linear family only, no
@@ -306,24 +315,24 @@ def simulate_gaussian(spec: ModelSpec, net: Network, cfg: SimConfig) -> Panel:
     gen = rng.stream(cfg.seed, 0x51)
     mode, warm = _gaussian_start(spec, init)
     b0, b1, b2 = spec.beta
-    if mode == "fixed":
-        y = init
-    else:
-        denom = 1.0 - b1 - b2
-        y = np.full(net.n, b0 / denom if denom > 0 else 0.0)
+    denom = 1.0 - b1 - b2
+    y = init if mode == "fixed" else np.full(net.n, b0 / denom if denom > 0 else 0.0)
     burn = 0 if mode == "stationary" else cfg.burn_in
 
-    total = warm + burn + cfg.T
-    linear = ModelSpec.linear(spec.beta, "cont")
-    out, x = np.empty((burn + cfg.T, net.n)), np.empty(net.n)
-    noise = None
-    for t in range(total):
-        if cfg.sigma > 0 and t % _NOISE_ROWS == 0:
-            noise = cfg.sigma * gen.standard_normal((min(_NOISE_ROWS, total - t), net.n))
-        lam = mean_elementwise(linear if t < warm else spec, _neighbour_average(net.w, y, x), y)
-        y = lam if noise is None else lam + noise[t % _NOISE_ROWS]
-        if t >= warm:
-            out[t - warm] = y
+    total, g, x = warm + burn + cfg.T, _affine_map(net.w, b1, b2), np.empty(net.n)
+    out, scratch = np.empty((total - warm, net.n)), np.empty((min(warm, _NOISE_ROWS), net.n))
+    for lo in (*range(0, warm, _NOISE_ROWS), *range(warm, total, _NOISE_ROWS)):
+        rows = scratch[:warm - lo] if lo < warm else out[lo - warm:lo - warm + _NOISE_ROWS]
+        affine, y = lo < warm or spec.family == "linear", y.copy()  # y may lie in scratch
+        np.multiply(gen.standard_normal(out=rows), cfg.sigma, out=rows)  # the steps' noise
+        if affine:
+            rows += b0
+        for row in rows:
+            if affine:
+                _sparsetools.csr_matvec(*g, y, row)
+            else:
+                row += mean_elementwise(spec, _neighbour_average(net.w, y, x), y)
+            y = row
     if not np.isfinite(out).all():      # a non-finite cell stays non-finite at its node
         t = warm + int((~np.isfinite(out)).any(axis=1).argmax())
         raise RuntimeError(f"non-finite value at step {t}; parameters look explosive")
@@ -451,10 +460,9 @@ def simulate_count(spec: ModelSpec, net: Network, cop: CopulaSpec,
 
     The intensity starts at cfg.init (all ones by default, per the
     burn-in-and-discard convention) and the first cfg.burn_in columns are
-    dropped.  A step raises RuntimeError when its draw rejects lam.  Each
-    step forms W Y_{t-1} with _neighbour_average in one reused buffer and
-    writes Y_t as a row of a time-major buffer, whose transposed copy is
-    the C-contiguous panel.
+    dropped.  A step raises RuntimeError when its draw rejects lam.  A
+    linear lam is b0 + G Y_{t-1} in one reused buffer, equal to
+    b0 + b1 W Y + b2 Y up to rounding.
     """
     if spec.domain != "count":
         raise ValueError("simulate_count requires a count-domain spec")
@@ -474,8 +482,13 @@ def simulate_count(spec: ModelSpec, net: Network, cop: CopulaSpec,
     y = copula_poisson_draw(lam0, cop, gen).astype(float)
     total = cfg.burn_in + cfg.T
     out, x = np.empty((total, net.n)), np.empty(net.n)
+    g = _affine_map(net.w, *spec.beta[1:]) if spec.family == "linear" else None
     for t in range(total):
-        lam = mean_elementwise(spec, _neighbour_average(net.w, y, x), y)
+        if g is None:
+            lam = mean_elementwise(spec, _neighbour_average(net.w, y, x), y)
+        else:   # b0 + G y, summed into x
+            x.fill(spec.beta[0])
+            _sparsetools.csr_matvec(*g, y, lam := x)
         try:  # the draw's own check is the step's one intensity check
             out[t] = copula_poisson_draw(lam, cop, gen)
         except ValueError as exc:

@@ -218,6 +218,9 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     """
     if family not in ("stnar", "tnar"):
         raise ValueError("profiled testing applies to the stnar and tnar families")
+    k2 = 1 if family == "stnar" else 3  # with T - 1 <= k2, ||U'1||^2 is T - 1 or fails
+    if panel.t - 1 <= k2:
+        raise ValueError(f"the {family} profile needs T >= {k2 + 2}, got T = {panel.t}")
     null_fit = _null_design(panel, net, domain)
     _, y_lag, x_lag = null_fit.design
     if family == "tnar":
@@ -226,7 +229,6 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
         s1, h11 = null_fit.scores, null_fit.hessian
         ok, s2, h12 = _column_blocks(
             null_fit, (_h_columns("stnar", g, x_lag, y_lag)[0] for g in grid.values))
-    k2 = s2.shape[-1]
     why = np.where(ok, "", "degenerate nonlinear regressors").astype(object)
     try:
         effective = s2[ok] - s1 @ np.linalg.solve(h11, h12[ok])

@@ -1,17 +1,19 @@
 import re
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy import linalg, stats
+from scipy.sparse import _sparsetools
 from scipy.special import ndtr, ndtri
 
 import netar as na
 from netar import rng
-from netar.dgp import (_EVENT_BLOCK, CopulaSpec, SimConfig, _apply_copula_factor, _EventRows,
-                       _neighbour_average, _warmup_steps, copula_poisson_draw,
+from netar.dgp import (_EVENT_BLOCK, CopulaSpec, SimConfig, _affine_map, _apply_copula_factor,
+                       _EventRows, _neighbour_average, _warmup_steps, copula_poisson_draw,
                        draw_copula_uniform, simulate_count, simulate_gaussian,
                        stationary_init_linear_gaussian)
 from netar.model import ModelSpec, cond_mean, mean_elementwise
@@ -196,13 +198,16 @@ def test_near_unit_root_start_draws_noise_in_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
-    # reference: the noise of all steps as one matrix draw
+    # reference: the noise of all steps as one matrix draw.  The steps sum
+    # b0 + noise + G y, the reference b0 + b1 W y + b2 y + noise; after
+    # 14 714 steps the last differs by 7.7e-16 relative, while a block of
+    # noise read out of order moves cells by O(1)
     warm = _warmup_steps(0.5, 0.499)
     noise = rng.stream(7, 0x51).standard_normal((warm + 100, net.n))
     y = np.full(net.n, 1.0 / (1.0 - 0.5 - 0.499))
     for t in range(warm + 100):
         y = na.cond_mean(spec, net, y) + noise[t]
-    assert np.array_equal(panel.values[:, -1], y)
+    np.testing.assert_allclose(panel.values[:, -1], y, rtol=1e-13)
 
 
 # gaussian simulation ------------------------------------------------------------
@@ -651,23 +656,87 @@ def test_count_panel_steps_are_poisson_given_the_past(n):
     assert abs(lag1.mean()) < 3.03
 
 
-def test_neighbour_average_equals_the_sparse_product(tmp_path):
-    # both simulators form W y with the compiled CSR product that w @ y ends
-    # in; it adds into its output, so a buffer holding an earlier step's sums
-    # (garbage here) must be zero-filled first
+def _average_graphs(tmp_path):
+    """Graphs with zero-out-degree rows, the one-node empty graph, an SBM and an ER graph."""
     path = tmp_path / "net.txt"
     path.write_text("# nodes 6\n0 1\n1 2\n2 0\n0 3\n4 0\n4 1\n4 2\n")
     with pytest.warns(UserWarning, match="zero out-degree"):
         loaded = na.load_edges(path)                      # nodes 3 and 5 have zero rows
     with pytest.warns(UserWarning, match="zero out-degree"):
         single = na.row_normalize([], 1)
+    return loaded, single, na.gen_sbm(200, 5, seed=3), na.gen_er(40, seed=2)
+
+
+def test_neighbour_average_equals_the_sparse_product(tmp_path):
+    # the steps of a nonlinear family form W y with the compiled CSR product
+    # that w @ y ends in; it adds into its output, so a buffer holding an
+    # earlier step's sums (garbage here) must be zero-filled first
     rs = np.random.default_rng(8)
-    for net in (loaded, single, na.gen_sbm(200, 5, seed=3), na.gen_er(40, seed=2)):
+    for net in _average_graphs(tmp_path):
         wide = rs.standard_normal((net.n, 3))
         for y in (wide[:, 1], np.ascontiguousarray(wide[:, 2])):   # strided and contiguous
             out = rs.standard_normal(net.n) * 1e3
             assert _neighbour_average(net.w, y, out) is out
             assert np.array_equal(out, net.w @ y)
+
+
+@pytest.mark.parametrize("beta", [(1.5, 0.4, 0.5), (-0.3, -0.7, 0.2), (2.0, 0.3, 0.0)])
+def test_affine_map_step_equals_the_linear_mean(tmp_path, beta):
+    # a linear step adds G y, G = b1 W + b2 I, into a row prefilled with b0.
+    # It sums the same terms as b0 + b1 (W y) + b2 y in another order; each
+    # sum of node i is within about (deg_i + 3) u of the exact value, relative
+    # to the sum s_i of its terms' magnitudes, so the two differ by at most
+    # (deg_i + 4) eps s_i (eps = 2u).  A wrong, missing or misplaced entry of
+    # G moves a node by a multiple of its terms
+    b0, b1, b2 = beta
+    linear = ModelSpec.linear(beta, "cont")
+    rs = np.random.default_rng(12)
+    for net in _average_graphs(tmp_path):
+        g = _affine_map(net.w, b1, b2)
+        indptr, indices, data = g[2:]
+        assert np.array_equal(indices[indptr[1:] - 1], np.arange(net.n))  # diagonal last
+        assert np.array_equal(sp.csr_matrix((data, indices, indptr), shape=g[:2]).toarray(),
+                              (b1 * net.w + b2 * sp.identity(net.n)).toarray())
+        bound = (np.diff(net.w.indptr) + 4) * np.finfo(float).eps
+        for y in (rs.standard_normal(net.n) * 10, rs.poisson(3.0, net.n).astype(float)):
+            row = np.full(net.n, b0)
+            _sparsetools.csr_matvec(*g, y, row)
+            scale = abs(b0) + abs(b1) * (net.w @ np.abs(y)) + abs(b2) * np.abs(y)
+            assert np.all(np.abs(row - mean_elementwise(linear, net.w @ y, y)) <= bound * scale)
+
+
+def _refuse_mean(*args):
+    raise AssertionError("mean_elementwise was called")
+
+
+def test_linear_steps_are_one_csr_product_each(small_net, monkeypatch):
+    # every warm-up step and every step of a linear panel is one csr_matvec of
+    # G (W's entries plus a diagonal) into a prefilled row, with no call of
+    # mean_elementwise; a nonlinear family's steps multiply by W itself
+    products = []
+
+    def counted(*args):
+        products.append(len(args[4]))
+        return _sparsetools.csr_matvec(*args)
+
+    monkeypatch.setattr("netar.dgp._sparsetools", types.SimpleNamespace(csr_matvec=counted))
+    monkeypatch.setattr("netar.dgp.mean_elementwise", _refuse_mean)
+    nnz, k = small_net.w.nnz, _warmup_steps(0.4, 0.5)
+    cont = ModelSpec.linear((1.5, 0.4, 0.5), "cont")
+    for init, burn in (("stationary", 0), ("linear-stationary", 20), (1.0, 20)):
+        products.clear()
+        simulate_gaussian(cont, small_net, SimConfig(T=30, burn_in=burn, seed=1, init=init))
+        assert products == [nnz + small_net.n] * ((k if isinstance(init, str) else 0) + burn + 30)
+    for cop in (CopulaSpec("identity"), CopulaSpec("ar1", 0.5)):
+        products.clear()
+        simulate_count(ModelSpec.linear((1.0, 0.3, 0.2)), small_net, cop,
+                       SimConfig(T=30, burn_in=20, seed=1))
+        assert products == [nnz + small_net.n] * 50
+    monkeypatch.setattr("netar.dgp.mean_elementwise", mean_elementwise)
+    products.clear()
+    simulate_gaussian(ModelSpec.stnar((1.5, 0.4, 0.5), 0.3, 0.5, "cont"), small_net,
+                      SimConfig(T=30, burn_in=20, seed=1, init="linear-stationary"))
+    assert products == [nnz + small_net.n] * k + [nnz] * 50
 
 
 @pytest.mark.parametrize("burn_in", [0, 50])
@@ -757,18 +826,18 @@ def test_zero_intensity_linear_chain_stays_zero(small_net):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_count_simulation_rejects_a_non_finite_intensity(small_net, bad, monkeypatch):
-    # the mean turns bad at one node of the fourth step (step 3 after the
-    # start draw), under the direct and the waiting-time draw alike
+    # a linear step's intensity is the row its one CSR product adds G y into;
+    # it turns bad at one node of the fourth step (step 3 after the start
+    # draw), under the direct and the waiting-time draw alike
     calls = []
 
-    def spoiled(spec, x, y):
-        lam = mean_elementwise(spec, x, y)
+    def spoiled(*args):
+        _sparsetools.csr_matvec(*args)
         calls.append(None)
         if len(calls) == 4:
-            lam[4] = bad
-        return lam
+            args[-1][4] = bad
 
-    monkeypatch.setattr("netar.dgp.mean_elementwise", spoiled)
+    monkeypatch.setattr("netar.dgp._sparsetools", types.SimpleNamespace(csr_matvec=spoiled))
     spec = ModelSpec.linear((1.0, 0.3, 0.2), "count")
     for cop in (CopulaSpec("identity"), CopulaSpec("exch", 0.3)):
         calls.clear()

@@ -155,6 +155,33 @@ def test_short_least_squares_drift_test_fails_with_its_message():
     assert 0.0 <= lm_test(panel, net, drift).statistic < 5.0 - 1e-6
 
 
+@pytest.mark.parametrize("domain", ["count", "cont"])
+@pytest.mark.parametrize("family, k2, grid", [("stnar", 1, default_grid("stnar")),
+                                              ("tnar", 3, GammaGrid([0.8, 1.0, 1.2]))])
+def test_short_profile_fails_with_its_message(domain, family, k2, grid):
+    # with T - 1 <= k2 tested coordinates E is square or wide, so U'1 is the
+    # whole of 1 and ||U'1||^2 = T - 1 at every kept point (a count stnar
+    # profile at T = 2 read 1.0 everywhere, tnar at T = 4 read 3.0), or no
+    # point survives ("all grid points were degenerate")
+    net = na.gen_sbm(50, 2, seed=1)
+    spec = ModelSpec.linear((1.0, 0.3, 0.2), domain)
+
+    def panel(t):
+        cfg = SimConfig(T=t, burn_in=50, seed=1)
+        if domain == "count":
+            return na.simulate_count(spec, net, na.CopulaSpec("identity"), cfg)
+        return na.simulate_gaussian(spec, net, cfg)
+
+    for t in range(2, k2 + 2):
+        with pytest.raises(ValueError, match=rf"^the {family} profile needs "
+                                             rf"T >= {k2 + 2}, got T = {t}$"):
+            lm_profile(panel(t), net, family, grid, domain)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # grid points dropped at so short a panel
+        prof = lm_profile(panel(k2 + 2), net, family, grid, domain)
+    assert np.all(np.isfinite(prof.lm)) and not np.allclose(prof.lm, k2 + 1)
+
+
 @pytest.mark.parametrize("family, domain, grid", [
     ("drift", "cont", None),
     ("drift", "count", None),
