@@ -236,29 +236,20 @@ class StabilityVerdict:
 def stability_check(spec: ModelSpec, net: Optional[Network] = None) -> StabilityVerdict:
     """Evaluate the contraction-type sufficient condition for the family."""
     b0, b1, b2 = spec.beta
-    fam, dom = spec.family, spec.domain
-    if fam == "linear":
-        value = b1 + b2 if dom == "count" else abs(b1) + abs(b2)
-        name = f"linear-{dom}: |b1|+|b2| < 1"
-    elif fam == "drift":
-        g = spec.theta2[0]
-        if dom == "count":
-            value = max(b1, b0 * g - b1) + b2
-            name = "drift-count: max(b1, b0*g-b1) + b2 < 1"
-        else:
-            value = max(abs(b1), abs(b0 * g - b1), abs(b1 - b0 * g)) + abs(b2)
-            name = "drift-cont: max(|b1|, |b1-b0*g|) + |b2| < 1"
-    elif fam == "stnar":
-        a = spec.theta2[0]
-        if dom == "count":
-            value = b1 + a + b2
-            name = "stnar-count: b1+a+b2 < 1"
-        else:
-            value = max(abs(b1), abs(b1 + a)) + abs(b2)
-            name = "stnar-cont: max(|b1|, |b1+a|) + |b2| < 1"
+    # count parameters are nonnegative, so the absolute values below cost
+    # the linear, drift and stnar count conditions nothing
+    if spec.family == "linear":
+        value = abs(b1) + abs(b2)
+        name = "linear: |b1|+|b2| < 1"
+    elif spec.family == "drift":
+        value = max(abs(b1), abs(b0 * spec.theta2[0] - b1)) + abs(b2)
+        name = "drift: max(|b1|, |b0*g-b1|) + |b2| < 1"
+    elif spec.family == "stnar":
+        value = max(abs(b1), abs(b1 + spec.theta2[0])) + abs(b2)
+        name = "stnar: max(|b1|, |b1+a|) + |b2| < 1"
     else:
         a0, a1, a2, g = spec.theta2
-        if dom == "count":
+        if spec.domain == "count":
             if net is None:
                 raise ValueError("tnar count condition needs the network")
             gmat = (b1 + a1) * net.w + (b2 + a2) * sp.identity(net.n, format="csr")

@@ -101,7 +101,7 @@ def row_normalize(edges, n: int) -> Network:
     return Network(n=n, edges=e, out_degree=deg, w=w, zero_degree=zero)
 
 
-def _random_directed(n: int, prob: np.ndarray, gen: np.random.Generator) -> Network:
+def _random_directed(n: int, prob: np.ndarray | float, gen: np.random.Generator) -> Network:
     u = gen.random((n, n))
     adj = u < prob
     np.fill_diagonal(adj, False)
@@ -133,7 +133,7 @@ def gen_er(n: int, p: float | None = None, seed: int = 0) -> Network:
         p = float(n) ** -0.3
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    return _random_directed(n, np.full((n, n), p), stream(seed, 0xE6))
+    return _random_directed(n, p, stream(seed, 0xE6))
 
 
 def network_summary(net: Network) -> dict:

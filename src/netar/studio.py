@@ -1,13 +1,14 @@
 """Monte Carlo harness, panel/network file IO and result reporting.
 
 A study is a list of scenarios, each checked and resolved once when it is
-built.  A scenario fixes a network (drawn once from its seed unless
-redraw_network is set), simulates S panels from its data-generating
-model, fits the linear null and applies the configured linearity test,
-then tabulates rejection rates per significance level with their
-binomial Monte Carlo standard errors.  Replication r of scenario s draws
-every random quantity from a stream keyed by (base_seed, s, r), so
-results are independent of execution order and of the worker-pool size.
+built.  A scenario fixes a network drawn once from its seed (with
+redraw_network, each replication draws its own, so a study holds one per
+worker), simulates S panels from its data-generating model, fits the
+linear null and applies the configured linearity test, then tabulates
+rejection rates per significance level with their binomial Monte Carlo
+standard errors.  Replication r of scenario s draws every random quantity
+from a stream keyed by (base_seed, s, r), so results are independent of
+execution order and of the worker-pool size.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .dgp import (CopulaSpec, Panel, SimConfig, _gaussian_start, _resolve_init,
 from .lintest import lm_test
 from .model import ModelSpec
 from .netgraph import Network, gen_er, gen_sbm
-from .nuisance import GammaGrid, aggregate, default_grid, run_profile_test
+from .nuisance import GammaGrid, default_grid, run_profile_test
 
 __all__ = [
     "Scenario",
@@ -195,9 +196,12 @@ def _parse_grid(spec) -> Optional[GammaGrid]:
     return GammaGrid(np.linspace(float(lo), float(hi), int(num)))
 
 
-def _run_replication(sc: Scenario, net: Network, base_seed: int, s_idx: int,
+def _run_replication(sc: Scenario, net: Optional[Network], base_seed: int, s_idx: int,
                      rep: int):
-    """One simulate-fit-test pass; returns (p_value, statistic)."""
+    """One simulate-fit-test pass on net, or on its own network if None;
+    returns (p_value, statistic)."""
+    if net is None:
+        net = _scenario_network(sc, base_seed, s_idx, rep)
     panel = _simulate(sc, net, rng.mix_seed(base_seed, s_idx, rep))
     test = sc._test
     if test["kind"] == "chi2":
@@ -211,17 +215,16 @@ def _run_replication(sc: Scenario, net: Network, base_seed: int, s_idx: int,
         agg=test["agg"], reps=test["J"], seed=rng.mix_seed(base_seed, s_idx, rep, 0xB0))
     if test["kind"] == "davies":
         return res.davies_p, res.g_sup
-    return res.boot_p, aggregate(res.profile, test["agg"])
+    return res.boot_p, res.g_sup if test["agg"] == "sup" else res.g_ave
 
 
 def _worker(args):
-    sc, net, base_seed, s_idx, rep = args
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return rep, _run_replication(sc, net, base_seed, s_idx, rep), None
+            return _run_replication(*args), None
     except Exception as exc:  # noqa: BLE001 - failures are tabulated, not fatal
-        return rep, None, (type(exc).__name__, str(exc))
+        return None, (type(exc).__name__, str(exc))
 
 
 def run_mc_study(cfg: StudyConfig, threads: int = 1):
@@ -240,16 +243,14 @@ def run_mc_study(cfg: StudyConfig, threads: int = 1):
     for s_idx, sc in enumerate(cfg.scenarios):
         start = time.perf_counter()
         net = None if sc.redraw_network else _scenario_network(sc, cfg.base_seed, s_idx, 0)
-        tasks = [(sc, net if net is not None
-                  else _scenario_network(sc, cfg.base_seed, s_idx, r),
-                  cfg.base_seed, s_idx, r) for r in range(sc.reps)]
+        tasks = [(sc, net, cfg.base_seed, s_idx, r) for r in range(sc.reps)]
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 outs = list(pool.map(_worker, tasks, chunksize=4))
         else:
             outs = [_worker(task) for task in tasks]
-        results = {rep: out for rep, out, err in outs if err is None}
-        errors = [err for _, _, err in outs if err is not None]
+        results = [out for out, err in outs if err is None]  # map keeps replication order
+        errors = [err for _, err in outs if err is not None]
 
         if len(errors) > sc.reps * 0.01:
             by_type: dict = {}          # type -> [count, first message], in replication order
@@ -258,16 +259,14 @@ def run_mc_study(cfg: StudyConfig, threads: int = 1):
             raise RuntimeError(
                 f"scenario {sc.name!r}: {len(errors)}/{sc.reps} replications failed: "
                 + "; ".join(f"{kind} x{n} (first: {msg})" for kind, (n, msg) in by_type.items()))
-        used = sorted(results)
-        pvals = np.array([results[r][0] for r in used])
-        stats = np.array([results[r][1] for r in used])
-        raw[sc.name] = stats
+        pvals = np.array([p for p, _ in results])
+        raw[sc.name] = np.array([stat for _, stat in results])
         elapsed = time.perf_counter() - start
         for level in sc.levels:
             rate = float(np.mean(pvals <= level))
-            se = float(np.sqrt(rate * (1.0 - rate) / len(used)))
+            se = float(np.sqrt(rate * (1.0 - rate) / len(results)))
             rows.append(StudyRow(sc.name, float(level), rate, se,
-                                 len(used), len(errors), elapsed))
+                                 len(results), len(errors), elapsed))
     return rows, raw
 
 

@@ -28,6 +28,8 @@ from netar.studio import Scenario, StudyConfig, load_panel_csv, run_mc_study
 from netar.netgraph import load_edges
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
+# the studies run on every core: draws do not depend on the worker count
+WORKERS = len(os.sched_getaffinity(0))
 
 
 def _report(criterion, ok, detail):
@@ -178,7 +180,7 @@ def test_criterion_01_continuous_chi2_size():
         "n": 200, "t": 300, "domain": "cont", "theta": (1.5, 0.4, 0.5),
         "reps": 2000, "test": {"kind": "chi2"}, "burn_in": 0,
     })], base_seed=20240601)
-    rows, _ = run_mc_study(cfg)
+    rows, _ = run_mc_study(cfg, threads=WORKERS)
     rates = _rates(rows)
     paper = {0.10: 0.110, 0.05: 0.044, 0.01: 0.006}
     tol = {0.10: 0.030, 0.05: 0.020, 0.01: 0.010}
@@ -195,7 +197,7 @@ def test_criterion_02_continuous_chi2_power():
         "dgp_family": "drift", "theta2": (1.0,), "init": "linear-stationary",
         "burn_in": 0, "reps": 500, "test": {"kind": "chi2"},
     })], base_seed=20240602)
-    rows, _ = run_mc_study(cfg)
+    rows, _ = run_mc_study(cfg, threads=WORKERS)
     rate = _rates(rows)[0.10]
     _report(2, rate >= 0.95, f"power at 10% = {rate:.3f} (need >= 0.95, paper 0.994)")
 
@@ -207,7 +209,7 @@ def test_criterion_03_count_chi2_size():
         "copula": {"structure": "ar1", "rho": 0.5}, "burn_in": 300,
         "reps": 2000, "test": {"kind": "chi2"},
     })], base_seed=20240603)
-    rows, _ = run_mc_study(cfg)
+    rows, _ = run_mc_study(cfg, threads=WORKERS)
     rates = _rates(rows)
     paper = {0.10: 0.108, 0.05: 0.042, 0.01: 0.008}
     tol = {0.10: 0.030, 0.05: 0.020, 0.01: 0.012}
@@ -221,7 +223,7 @@ def test_criterion_04_null_lm_distribution():
         "n": 100, "t": 200, "domain": "cont", "theta": (1.5, 0.4, 0.5),
         "burn_in": 0, "reps": 2000, "test": {"kind": "chi2"},
     })], base_seed=20240604)
-    _, raw = run_mc_study(cfg)
+    _, raw = run_mc_study(cfg, threads=WORKERS)
     lm = raw["lm-null"]
     ks = stats.kstest(lm, stats.chi2(1).cdf).statistic
     mean, var = float(lm.mean()), float(lm.var())
@@ -237,7 +239,7 @@ def test_criterion_05_davies_stnar_size():
         "burn_in": 0, "reps": 2000,
         "test": {"kind": "davies", "alt": "stnar"},
     })], base_seed=20240605)
-    rows, _ = run_mc_study(cfg)
+    rows, _ = run_mc_study(cfg, threads=WORKERS)
     rates = _rates(rows)
     ok = all(rates[lv] <= lv + 0.02 and rates[lv] >= lv - 0.06
              for lv in (0.10, 0.05, 0.01))
@@ -253,7 +255,7 @@ def test_criterion_06_davies_stnar_power():
         "burn_in": 0, "reps": 200,
         "test": {"kind": "davies", "alt": "stnar"},
     })], base_seed=20240606)
-    rows, _ = run_mc_study(cfg)
+    rows, _ = run_mc_study(cfg, threads=WORKERS)
     rate = _rates(rows)[0.10]
     _report(6, rate >= 0.85, f"power at 10% = {rate:.3f} (need >= 0.85, paper 0.921)")
 
@@ -265,7 +267,7 @@ def test_criterion_07_bootstrap_tnar():
         "burn_in": 0, "init": "linear-stationary", "reps": 1000,
         "test": {"kind": "bootstrap", "alt": "tnar", "J": 299, "agg": "sup"},
     })], base_seed=20240607)
-    rows, _ = run_mc_study(size_cfg)
+    rows, _ = run_mc_study(size_cfg, threads=WORKERS)
     size5 = _rates(rows)[0.05]
 
     power_cfg = StudyConfig(scenarios=[Scenario.from_dict({
@@ -275,7 +277,7 @@ def test_criterion_07_bootstrap_tnar():
         "burn_in": 0, "init": "linear-stationary", "reps": 100,
         "test": {"kind": "bootstrap", "alt": "tnar", "J": 299, "agg": "sup"},
     })], base_seed=20240608)
-    rows_p, _ = run_mc_study(power_cfg)
+    rows_p, _ = run_mc_study(power_cfg, threads=WORKERS)
     power10 = _rates(rows_p)[0.10]
     elapsed = rows[0].elapsed + rows_p[0].elapsed
     ok = size5 <= 0.07 and power10 >= 0.99 and elapsed <= 1200.0
@@ -325,7 +327,7 @@ def test_full_scale_continuous_chi2():
             "reps": 1000, "test": {"kind": "chi2"},
         }),
     ], base_seed=20240610)
-    rows, _ = run_mc_study(cfg)
+    rows, _ = run_mc_study(cfg, threads=WORKERS)
     size = {round(r.level, 2): r.rejection_rate for r in rows
             if r.scenario == "full-cont-size"}
     power = {round(r.level, 2): r.rejection_rate for r in rows
@@ -346,7 +348,7 @@ def test_full_scale_count_chi2():
         "copula": {"structure": "ar1", "rho": 0.5}, "burn_in": 300,
         "reps": 1000, "test": {"kind": "chi2"},
     })], base_seed=20240611)
-    rows, _ = run_mc_study(cfg)
+    rows, _ = run_mc_study(cfg, threads=WORKERS)
     rates = _rates(rows)
     paper = {0.10: 0.108, 0.05: 0.059, 0.01: 0.011}
     ok = all(abs(rates[lv] - paper[lv]) <= tol

@@ -150,6 +150,24 @@ def test_stability_stnar_examples():
     assert bad.condition_value == pytest.approx(1.0) and not bad.sufficient_holds
 
 
+def test_count_stability_values_equal_the_count_formulas():
+    # count parameters are nonnegative, so the one condition per family reads
+    # the value of the count formulas it replaced, bit for bit
+    levels = (0.0, 0.05, 0.3, 0.45, 0.7, 1.5)
+    for b0 in (0.0, 0.2, 1.0, 2.5):
+        for b1 in levels:
+            for b2 in levels:
+                for x in (0.0, 0.1, 0.4, 1.0, 2.0):
+                    for spec, value in [
+                            (ModelSpec.linear((b0, b1, b2), "count"), b1 + b2),
+                            (ModelSpec.drift((b0, b1, b2), x, "count"),
+                             max(b1, b0 * x - b1) + b2),
+                            (ModelSpec.stnar((b0, b1, b2), x, 1.0, "count"), b1 + x + b2)]:
+                        v = stability_check(spec)
+                        assert v.condition_value == value, spec
+                        assert v.sufficient_holds == (value < 1.0)
+
+
 def test_stability_tnar_needs_network(small_net):
     spec = ModelSpec.tnar((1.0, 0.3, 0.2), (0.1, 0.1, 0.1), 1.0, "count")
     with pytest.raises(ValueError):

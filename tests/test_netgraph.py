@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import netar as na
 from netar.netgraph import load_edges, row_normalize, save_edges
+from netar.rng import stream
 
 
 def test_two_cycle_is_identity_swap():
@@ -151,6 +153,23 @@ def test_er_default_probability_density():
     dens = [na.network_summary(na.gen_er(n, seed=s))["density"] for s in range(seeds)]
     se = np.sqrt(target * (1 - target) / (seeds * n * (n - 1)))
     assert abs(np.mean(dens) - target) < 3 * se
+
+
+def test_er_compares_its_uniforms_with_the_scalar_probability():
+    # one N x N array of uniforms and one boolean mask, no N x N array of p:
+    # at N=1000 the peak is 16.2 MB, and a filled probability matrix adds 8 MB
+    n, p = 1000, 1000 ** -0.3
+    na.gen_er(50, seed=1)
+    tracemalloc.start()
+    try:
+        net = na.gen_er(n, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    adj = stream(3, 0xE6).random((n, n)) < np.full((n, n), p)
+    np.fill_diagonal(adj, False)
+    assert np.array_equal(net.edges, np.argwhere(adj))
 
 
 def test_er_rejects_bad_probability():

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -58,11 +59,15 @@ def test_rerun_is_byte_identical():
     {},
     {"domain": "count", "copula": {"structure": "ar1", "rho": 0.5}, "burn_in": 100},
     {"kind": "davies", "redraw_network": True},
+    {"domain": "count", "copula": {"structure": "ar1", "rho": 0.5}, "burn_in": 100,
+     "redraw_network": True},
     {"kind": "bootstrap", "domain": "count",
      "test": {"kind": "bootstrap", "alt": "tnar", "J": 29, "agg": "ave"}},
-], ids=["cont-chi2", "count-ar1-chi2", "redraw-davies", "tnar-bootstrap"])
+], ids=["cont-chi2", "count-ar1-chi2", "redraw-davies", "redraw-count-ar1-chi2",
+        "tnar-bootstrap"])
 def test_parallel_execution_matches_serial(extra):
-    # the pool pickles the resolved scenario into its workers
+    # the pool pickles the resolved scenario into its workers; under redraw
+    # each replication draws its network in the worker that runs it
     cfg = _tiny_cfg(reps=8, **extra)
     rows1, raw1 = run_mc_study(cfg, threads=1)
     rows2, raw2 = run_mc_study(cfg, threads=2)
@@ -114,6 +119,22 @@ def test_redraw_network_switch_changes_rates():
     assert np.array_equal(raw_r["tiny"], raw_r2["tiny"])
     # per-replication networks differ from the fixed one, so draws differ
     assert not np.array_equal(raw_f["tiny"], raw_r["tiny"])
+
+
+def test_redraw_study_holds_one_network_at_a_time():
+    # each replication draws its own network, so the peak does not grow with
+    # the replication count: 1.1 MB at N=200, T=30, S=200, where holding all
+    # 200 networks at once peaks at 24.8 MB
+    cfg = _tiny_cfg(reps=200, n=200, t=30, redraw_network=True)
+    run_mc_study(_tiny_cfg(reps=1, n=200, t=30, redraw_network=True))
+    tracemalloc.start()
+    try:
+        rows, raw = run_mc_study(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert rows[0].reps_used == 200 and raw["tiny"].shape == (200,)
 
 
 def test_unknown_scenario_field_rejected():
