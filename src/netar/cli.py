@@ -29,7 +29,7 @@ from .model import ModelSpec, parse_spec
 from .netgraph import gen_er, gen_sbm, load_edges, network_summary, save_edges
 from .nuisance import run_profile_test
 from .qmle import qmle_fit
-from .studio import (StudyConfig, _parse_grid, emit_report, load_panel_csv,
+from .studio import (_CONT_COPULA, StudyConfig, _parse_grid, emit_report, load_panel_csv,
                      run_mc_study, save_panel_csv, write_raw_draws)
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -76,13 +76,14 @@ def _cmd_net(args) -> None:
 def _cmd_sim(args) -> None:
     domain = _domain(args.family)
     spec = parse_spec(args.spec, _parse_theta(args.theta), domain)
+    copula = _parse_copula(args.copula)
+    if domain == "cont" and not copula.is_independent:
+        raise ValueError(_CONT_COPULA)
     net = load_edges(args.net)
-    if domain == "count":
-        cfg = SimConfig(T=args.T, burn_in=args.burn_in, seed=args.seed)
-        panel = simulate_count(spec, net, _parse_copula(args.copula), cfg)
+    cfg = SimConfig(T=args.T, burn_in=args.burn_in, seed=args.seed, sigma=args.sigma)
+    if domain == "count":       # sigma applies to continuous panels only
+        panel = simulate_count(spec, net, copula, cfg)
     else:
-        cfg = SimConfig(T=args.T, burn_in=args.burn_in, seed=args.seed,
-                        sigma=args.sigma)
         panel = simulate_gaussian(spec, net, cfg)
     save_panel_csv(panel, args.out)
 

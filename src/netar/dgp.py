@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Union
 
 import numpy as np
@@ -176,10 +177,11 @@ class SimConfig:
     init: Union[str, float, np.ndarray] = "default"
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
+        for key, value, least in (("T", self.T, 1), ("burn_in", self.burn_in, 0)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{key} must be >= {least}")
         if not np.isfinite(self.sigma) or self.sigma < 0:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 

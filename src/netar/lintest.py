@@ -16,9 +16,10 @@ sitting on the parameter boundary.
 The null fit (_null_design) hands over its weights at theta_hat and its
 linear block (scores, curvature and score outer product of (1, X, Y)), so
 the drift test and the stnar profile form only their own columns.  The
-statistic uses the unprojected partial score (the nonlinear-block total,
-the partial score at the constrained fit, where the linear-block score
-vanishes); the projection of the linear block lives in Sigma.  It is
+statistic uses the unprojected partial score (the nonlinear-block total),
+the partial score where the linear-block score vanishes: qmle_fit ends
+with a full Newton step inside its tolerance, which leaves it zero up to
+rounding.  The projection of the linear block lives in Sigma.  It is
 ||S^-1 V' partial||^2 from the thin SVD E = U S V' of the effective
 scores (_whiten, shared with the profiles), so Sigma is never inverted.
 """

@@ -2,12 +2,14 @@
 
 One Newton path, qmle_fit, fits both domains: counts on the working Poisson
 likelihood (contemporaneous independence), continuous panels on the
-Gaussian one, -RSS/2, whose maximizer is least squares.  Both report the
-sandwich covariance H^-1 B H^-1, where H is the observed Hessian of the
-quasi-likelihood and B the outer product of per-time score contributions;
-B captures the cross-sectional dependence the working likelihood ignores.
-The derivative stack is fixed unless the mean is curved in the estimable
-coordinates (drift), and the count weights go to two reused buffers.
+Gaussian one, -RSS/2, whose maximizer is least squares.  Both start at
+least squares, end with one full Newton step taken inside the score
+tolerance and report the sandwich covariance H^-1 B H^-1, where H is the
+observed Hessian of the quasi-likelihood and B the outer product of
+per-time score contributions; B captures the cross-sectional dependence
+the working likelihood ignores.  The derivative stack is fixed unless the
+mean is curved in the estimable coordinates (drift), and the count
+weights go to two reused buffers.
 
 The score and curvature sums here come from one private kernel,
 _score_parts: the unprojected per-time scores s_t and the curvature H of a
@@ -44,7 +46,7 @@ __all__ = [
 
 _LOWER = 1e-8          # box lower bound for count-domain coordinates
 _LAM_FLOOR = 1e-12     # intensities below this signal an inadmissible theta
-_MAX_ITER = 200        # Newton iterations of qmle_fit
+_MAX_ITER = 200        # Newton steps of qmle_fit
 _SCORE_TOL = 1e-6      # converged when max|projected score| < _SCORE_TOL * (number of cells)
 _STEP_TOL = 1e-9       # Newton stops when a step moves every coordinate less than this
 _CURV_BLOCK = 1 << 13  # cells per column block of the curvature sum
@@ -204,27 +206,20 @@ def sandwich_cov(hessian: np.ndarray, opg: np.ndarray):
     return cov, se, jitter
 
 
-def _default_start(panel: Panel, spec: ModelSpec) -> np.ndarray:
-    theta = np.full(spec.n_active, 0.2)
-    theta[0] = max(float(np.mean(panel.values)) * 0.6, _LOWER)
-    if spec.n_active > 3:
-        theta[3:] = _LOWER
-    return theta
-
-
 def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitResult:
     """Newton with step halving on the working Poisson likelihood (counts) or
     the Gaussian one, -RSS/2 (continuous panels, linear family only).
 
-    A rank deficient (1, X, Y) stack Z raises first (_gram_inverse).  Least
-    squares starts at the corrected semi-normal solution (Bjorck 1987),
-    G theta = Z'y refined by theta += G^-1 Z'(y - Z theta), G = Z'Z, which
-    the first score check certifies.  Counts start at theta0 or
-    _default_start, projected onto [_LOWER, inf).  Newton stops when
-    max|score| < _SCORE_TOL * (number of cells), times max(1, RSS/n) for
-    least squares, when a step moves every coordinate less than _STEP_TOL,
-    no halving ascends or after _MAX_ITER iterations; converged means the
-    projected score (zero at _LOWER where the score points out) is below it.
+    A rank deficient (1, X, Y) stack Z raises first (_gram_inverse).  Both
+    domains start at theta0 or the corrected semi-normal least-squares fit
+    (Bjorck 1987), G b = Z'y refined by b += G^-1 Z'(y - Z b), G = Z'Z, with
+    nonlinear coordinates at _LOWER, in the count box [_LOWER, inf).  Newton
+    takes the first step from inside the tolerance, max|score| < _SCORE_TOL *
+    (number of cells), times max(1, RSS/n) for least squares, in full (the
+    halving test cannot judge it there) and stops; or when a step moves every
+    coordinate less than _STEP_TOL, no halving ascends or after _MAX_ITER
+    steps.  iterations counts the steps; converged means the projected score
+    (zero at _LOWER where the score points out) is below the tolerance.
     """
     count = spec.domain == "count"
     if not (count or spec.family == "linear"):
@@ -237,16 +232,13 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
     lin = np.empty((3, *x_lag.shape))
     lin[0], lin[1], lin[2] = 1.0, x_lag, y_lag
     n_obs = y_now.size
-    if count:       # least squares' rank rule; one product is cheaper than the kernel's blocks
-        _gram_inverse(lin.reshape(3, -1) @ lin.reshape(3, -1).T)
-        theta = np.asarray(theta0 if theta0 is not None else _default_start(panel, spec), float)
-    else:           # the corrected semi-normal solution, whose rank rule raises first
-        s_y, gram = _score_parts(lin, y_now)
-        gram_inv = _gram_inverse(gram)
-        theta = gram_inv @ s_y.sum(axis=0)
-        theta += gram_inv @ np.einsum("ant,nt->a", lin, y_now - np.tensordot(theta, lin, axes=1))
+    s_y, gram = _score_parts(lin, y_now)
+    gram_inv = _gram_inverse(gram)      # the rank rule of both domains
+    theta = np.full(spec.n_active, _LOWER)      # beta: the corrected semi-normal solution
+    theta[:3] = beta = gram_inv @ s_y.sum(axis=0)
+    theta[:3] += gram_inv @ np.einsum("ant,nt->a", lin, y_now - np.tensordot(beta, lin, axes=1))
     lower = _LOWER if count else -np.inf            # the count box
-    theta = np.maximum(theta, lower)
+    theta = np.maximum(theta if theta0 is None else np.asarray(theta0, float), lower)
 
     def evaluate(t):    # (quasi-log-likelihood, mean, least squares' residual Y - lam)
         lam = mean_elementwise(spec.with_active(t), x_lag, y_lag)
@@ -278,10 +270,9 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
         return s_t, hess, s_t.sum(axis=0)
 
     s_t, hess, score = parts_at(theta, lam, resid)
-    jitter_total = 0
-    for iters in range(1, _MAX_ITER + 1):
-        if np.max(np.abs(score)) < tol:
-            break
+    jitter_total = iters = 0
+    while iters < _MAX_ITER:
+        inside = np.max(np.abs(score)) < tol
         step, jitter = _ridge_solve(hess, score)
         jitter_total += jitter
 
@@ -289,15 +280,16 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
         for _ in range(40):
             cand = np.maximum(theta + scale * step, lower)
             at_cand = evaluate(cand)
-            if at_cand[0] >= ll - 1e-12:
+            if at_cand[0] >= ll - 1e-12 or (inside and np.isfinite(at_cand[0])):
                 break
             scale *= 0.5
         else:
             break
+        iters += 1
         moved = np.max(np.abs(cand - theta))
         theta, (ll, lam, resid) = cand, at_cand
         s_t, hess, score = parts_at(theta, lam, resid)
-        if moved < _STEP_TOL:
+        if inside or moved < _STEP_TOL:
             break
 
     # a coordinate on the bound whose score points out of the box is stationary

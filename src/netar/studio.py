@@ -51,6 +51,7 @@ _TEST_VALUES = {"kind": ("chi2", "davies", "bootstrap"), "alt": ("stnar", "tnar"
                 "agg": ("sup", "ave")}
 _NESTED_KEYS = {"network": {"model", "k", "p"}, "copula": {"structure", "rho"},
                 "test": set(_TEST_DEFAULTS)}
+_CONT_COPULA = "a dependent copula applies to count panels only: continuous noise is independent"
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,8 @@ class Scenario:
         copula = CopulaSpec(self.copula.get("structure", "identity"),
                             float(self.copula.get("rho", 0.0)))
         copula.check_dimension(self.n)
+        if self.domain == "cont" and not copula.is_independent:
+            raise ValueError(_CONT_COPULA)
         init = _resolve_init(self.init, self.n, self.domain)
         if self.domain == "cont":
             _gaussian_start(spec, init)  # rejects a start the model cannot take

@@ -157,3 +157,14 @@ def test_cli_rejects_copula_outside_the_documented_forms(tmp_path, copula):
                                                    "gaussian-exch:RHO")):
         main(["sim", "--family", "pnar", "--theta", "1.0,0.3,0.2", "--net", str(net_file),
               "--T", "5", "--copula", copula, "--seed", "1", "-o", str(tmp_path / "p.csv")])
+
+
+def test_cli_rejects_a_dependent_copula_for_a_continuous_panel(tmp_path):
+    # continuous noise is independent: the copula is refused, not dropped
+    net_file = tmp_path / "net.txt"
+    net_file.write_text("0 1\n1 0\n")
+    out = tmp_path / "p.csv"
+    with pytest.raises(ValueError, match="a dependent copula applies to count panels only"):
+        main(["sim", "--family", "nar", "--theta", "1.0,0.3,0.2", "--net", str(net_file),
+              "--T", "5", "--copula", "gaussian-ar1:0.5", "--seed", "1", "-o", str(out)])
+    assert not out.exists()

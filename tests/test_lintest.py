@@ -228,14 +228,32 @@ def test_count_hessian_cross_term_present(small_net, count_panel):
     assert res.sigma_used[0, 0] != pytest.approx(sigma_no_curv[0, 0], rel=1e-12)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the statistic uses the unprojected partial score, exact only where the "
-    "linear-block score is exactly zero; Newton stops at max|score| < 1e-6 per cell"))
+@pytest.mark.parametrize("n", [30, 200])
+def test_count_null_fit_does_not_depend_on_its_start(n, monkeypatch):
+    # the default start (least squares) and the truth are different points on
+    # the way to one optimum: each fit ends there, so the estimates agree to
+    # rounding and so does the drift statistic, which reads the unprojected
+    # partial score at the fit
+    net = na.gen_sbm(n, 2, seed=31)
+    truth = (1.0, 0.3, 0.2)
+    panel = na.simulate_count(ModelSpec.linear(truth, "count"), net, na.CopulaSpec("ar1", 0.5),
+                              SimConfig(T=200, burn_in=100, seed=33))
+    alt = ModelSpec.drift(truth, 0.0, "count")
+    default = lm_test(panel, net, alt)
+    fit = qmle.qmle_fit
+    monkeypatch.setattr("netar.lintest.qmle_fit",
+                        lambda *args: fit(*args, theta0=np.array(truth)))
+    from_truth = lm_test(panel, net, alt)
+    assert np.max(np.abs(default.null_fit.theta_hat - from_truth.null_fit.theta_hat)) < 1e-10
+    assert default.statistic == pytest.approx(from_truth.statistic, rel=1e-8)
+
+
 def test_count_drift_statistic_does_not_depend_on_where_newton_stops():
-    # paper scale, N=500 and T=400: at the returned fit (3 iterations) the statistic
-    # reads 1.518213, at the converged fit 1.479534, 2.6% lower.  Projecting the
-    # linear block out of the partial score, as the profile tests do, reads within
-    # 4.1e-5 (relative) of the converged value at the returned fit
+    # paper scale, N=500 and T=400: the statistic uses the unprojected partial
+    # score, exact only where the linear-block score is zero.  A fit stopped
+    # as soon as max|score| < 1e-6 per cell read 1.518213 here, the converged
+    # fit 1.479534 (2.6% lower); the full step qmle_fit takes from inside the
+    # tolerance lands at the optimum up to rounding
     net = na.gen_sbm(500, 5, seed=9)
     panel = na.simulate_count(ModelSpec.linear((1.0, 0.3, 0.2), "count"), net,
                               na.CopulaSpec("identity", 0.0),

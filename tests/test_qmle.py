@@ -151,14 +151,26 @@ def test_ols_sigma2_is_mean_squared_residual(small_net, cont_panel):
 def test_least_squares_certifies_its_start_at_any_data_scale(small_net, cont_panel):
     # least squares' score is in the data's squared units: in units a million
     # times larger the corrected semi-normal solution leaves a score far above
-    # 1e-6 per cell, so the first score check scales its tolerance by RSS/n and
-    # the null fit the linearity tests need still takes one iteration
+    # 1e-6 per cell, so the score check scales its tolerance by RSS/n, the
+    # start is inside it and the null fit the linearity tests need takes one
+    # Newton step, the full one taken from inside the tolerance
     base = ols_fit_linear(cont_panel, small_net)
     for scale in (1e-6, 1e6, 1e12):
         fit = ols_fit_linear(Panel(cont_panel.values * scale), small_net)
         assert fit.iterations == 1 and fit.converged
         assert np.allclose(fit.theta_hat, base.theta_hat * [scale, 1.0, 1.0], rtol=1e-9)
         assert fit.sigma2_hat == pytest.approx(base.sigma2_hat * scale**2, rel=1e-9)
+
+
+def test_least_squares_takes_theta0_as_its_start(small_net, cont_panel):
+    # theta0 overrides the start in both domains: on the quadratic -RSS/2 one
+    # full Newton step reaches the optimum, and the step from inside the
+    # tolerance ends the fit
+    base = ols_fit_linear(cont_panel, small_net)
+    fit = qmle_fit(cont_panel, small_net, ModelSpec.linear((0.0, 0.0, 0.0), "cont"),
+                   theta0=np.array([10.0, -0.5, 0.9]))
+    assert fit.converged and fit.iterations == 2
+    np.testing.assert_allclose(fit.theta_hat, base.theta_hat, rtol=1e-10)
 
 
 def _null_fits():

@@ -189,6 +189,8 @@ def test_worker_count_below_one_rejected_before_any_network(threads, monkeypatch
     ({"init": [0.0, 1.0]}, "init vector must have length 20"),
     ({"domain": "count", "copula": {"structure": "arr1"}}, "unknown copula structure"),
     ({"domain": "count", "copula": {"structure": "ar1", "rho": 1.0}}, "copula correlation"),
+    ({"copula": {"structure": "ar1", "rho": 0.5}},
+     "a dependent copula applies to count panels only"),
 ])
 def test_bad_init_or_copula_rejected_before_simulation(extra, match, monkeypatch):
     def no_panels(*args):
@@ -221,6 +223,10 @@ def test_bad_init_or_copula_rejected_before_simulation(extra, match, monkeypatch
     ({"network": {"model": "er", "p": 1.5}},
      r"network p must be None or lie in \[0, 1\], got 1.5"),
     ({"init": [0.0] * 19 + [float("nan")]}, "init vector at node 19 is not finite: nan"),
+    ({"t": 50.5}, "T must be an integer, got 50.5"),
+    ({"t": True}, "T must be an integer, got True"),
+    ({"burn_in": 2.5}, "burn_in must be an integer, got 2.5"),
+    ({"burn_in": False}, "burn_in must be an integer, got False"),
 ])
 @pytest.mark.parametrize("build", ["from_dict", "direct"])
 def test_bad_setting_rejected_when_the_scenario_is_built(extra, match, build, monkeypatch):
