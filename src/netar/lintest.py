@@ -13,13 +13,13 @@ cancel.  The statistic is referred to a chi-square with as many degrees
 of freedom as tested coordinates; this is unaffected by the tested value
 sitting on the parameter boundary.
 
-The null fit (_null_design) hands over its weights at theta_hat and its
-linear block (scores, curvature and score outer product of (1, X, Y)), so
-the drift test and the stnar profile form only their own columns.  The
-statistic uses the unprojected partial score (the nonlinear-block total),
-the partial score where the linear-block score vanishes: qmle_fit ends
-with a full Newton step inside its tolerance, which leaves it zero up to
-rounding.  The projection of the linear block lives in Sigma.  It is
+The null fit (_null_design) hands over its weights at theta_hat and the
+linear block: the (1, X, Y) stack, which holds X and Y, and its scores,
+curvature and score outer product, so every test forms only its columns.
+The statistic uses the unprojected partial score (the nonlinear-block
+total), the partial score where the linear-block score vanishes: qmle_fit
+ends with a full Newton step inside its tolerance, which leaves it zero up
+to rounding.  The projection of the linear block lives in Sigma.  It is
 ||S^-1 V' partial||^2 from the thin SVD E = U S V' of the effective
 scores (_whiten, shared with the profiles), so Sigma is never inverted.
 """
@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .dgp import Panel
-from .model import ModelSpec
+from .model import ModelSpec, _drift_arg
 from .netgraph import Network
 from .qmle import FitResult, ols_fit_linear, qmle_fit  # noqa: F401  (traced name)
 
@@ -54,9 +54,8 @@ def chi2_sf(x: float, df: int) -> float:
 
 def _null_design(panel: Panel, net: Network, domain: str) -> FitResult:
     """The linear null fitted by qmle_fit (working Poisson for counts, least
-    squares for continuous data).  It hands over its lagged design, its
-    score and curvature weights at theta_hat and its linear block; the
-    spec's coefficients are not read."""
+    squares for continuous data), the only source of the linear block and
+    the weights (see above); the spec's coefficients are not read."""
     null_fit = qmle_fit(panel, net, ModelSpec.linear((1.0, 0.2, 0.2), domain))
     if not null_fit.converged:
         raise RuntimeError("null fit did not converge")
@@ -120,8 +119,8 @@ def lm_test(panel: Panel, net: Network, alt_spec: ModelSpec) -> ScoreTestResult:
         raise ValueError("the identifiable-parameter test is against the drift family")
     domain = alt_spec.domain
     fit = _null_design(panel, net, domain)
-    x_lag, b0, s1, m11 = fit.design[2], fit.theta_hat[0], fit.scores, fit.hessian
-    h = -b0 * np.log1p(x_lag if domain == "count" else np.abs(x_lag))
+    b0, s1, m11 = fit.theta_hat[0], fit.scores, fit.hessian
+    h = -b0 * np.log1p(_drift_arg(domain, fit.stack[1]))
     _, (s2,), (m12,) = _column_blocks(fit, [h])
     partial = s2.sum(axis=0)
     if domain == "count":       # the cross curvature sum resid log(1 + X) is -partial / b0

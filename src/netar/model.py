@@ -135,9 +135,12 @@ class ModelSpec:
 # X and Y may be any broadcastable shape; this is what lets single-step
 # simulation and whole-panel estimation share one set of formulas.
 
+def _drift_arg(domain: str, x: np.ndarray) -> np.ndarray:   # X on counts, |X| on continuous
+    return np.abs(x) if domain == "cont" else x
+
+
 def _drift_base(spec: ModelSpec, x: np.ndarray):
-    xa = np.abs(x) if spec.domain == "cont" else x
-    g = spec.theta2[0]
+    xa, g = _drift_arg(spec.domain, x), spec.theta2[0]
     return (1.0 + xa) ** (-g), np.log1p(xa)
 
 

@@ -9,16 +9,15 @@ where h is the family's nonlinear regressor block:
     stnar  h_it(g) = exp(-g * X^2) * X                       (one column)
     tnar   h_it(g) = (1, X, Y) * 1{X <= g}                   (three columns)
 
-The null fit hands over its lagged design and its weights at theta_hat.
 The linear block (scores of 1, X, Y and curvature H11) does not depend on
-g: stnar takes it from the null fit, with the (1, X, Y) stack, and forms
-only h(g) at each grid point; tnar reads it and every point's s_t^(2)(g)
-and H12(g) from cumulative sums over one binning of the cells, read in
-blocks of node rows that slice the fit's weights.  The curvature projects
-the linear block out of every per-time score; the outer product of these
-effective scores E(g) is the score covariance Sigma(g).  lintest._whiten
-factors E = U S V', so the statistic is ||U'1||^2 and Sigma(g) is never
-inverted.
+g: both families read it, the (1, X, Y) stack and the weights from the
+null fit and form only their own columns.  stnar forms h(g) at each point;
+tnar reads every s_t^(2)(g) and H12(g) from cumulative sums over one
+binning of the cells, in blocks of node rows of the stack.  The curvature
+projects the linear block out of every per-time score; the outer product
+of these effective scores E(g) is the score covariance Sigma(g).
+lintest._whiten factors E = U S V', so the statistic is ||U'1||^2 and
+Sigma(g) is never inverted.
 
 The supremum or average of the profile is calibrated either by the Davies
 upper bound (scalar smooth nuisance only) or by Hansen's multiplier
@@ -171,12 +170,12 @@ def _tnar_bins(grid, x):
 
 
 def _tnar_blocks(grid, x, y, resid, curf):
-    """s_t^(1), H11, then as _column_blocks for (1, X, Y) * 1{X <= g}, with
-    the null fit's weights resid and curf (None: unit curvature).  A cell is
-    in bin b <= j exactly when X <= g_j, so cumulative sums over the bins give
-    every masked sum (the last bin's: the linear block).  The cells are read
-    in blocks of whole node rows, about _CURV_BLOCK cells each, so no array
-    of the panel's size is formed; np.add.at adds a block's weights into the
+    """As _column_blocks for (1, X, Y) * 1{X <= g}, with the null fit's weights
+    resid and curf (None: unit curvature).  A cell is in bin b <= j exactly
+    when X <= g_j, so cumulative sums over the bins give every masked sum
+    (the last bin's are the fit's linear block).  The cells are read in
+    blocks of whole node rows, about _CURV_BLOCK cells each, so no array of
+    the panel's size is formed; np.add.at adds a block's weights into the
     sums cell after cell, which rounds as one np.bincount over all cells.
     The point is degenerate if every cell counts (the indicator is the
     intercept) or no counted cell has X != 0 or Y != 0."""
@@ -199,18 +198,18 @@ def _tnar_blocks(grid, x, y, resid, curf):
     s = np.stack([c.T for c in np.cumsum(by_time.reshape(3, tm1, num + 1), axis=2)], axis=-1)
     h = np.cumsum(by_bin, axis=1)[[0, 1, 2, 1, 3, 4, 2, 4, 5]].T.reshape(num + 1, 3, 3)
     ok = (np.arange(num) >= lo.max()) & (np.arange(num) < top)
-    return s[num], h[num], ok, s[:num], h[:num]
+    return ok, s[:num], h[:num]
 
 
 def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
                domain: str) -> LMProfile:
     """Quasi-score statistic at each grid point of the nuisance rate.
 
-    The linear null is fitted to the panel and hands over its lagged design,
-    its weights at theta_hat (quasi-Poisson Y/lam - 1 and Y/lam^2 for
-    counts, residuals and unit curvature for continuous panels) and, for
-    stnar, its linear block, all shared across grid points (see
-    lintest._null_design).  Each point's statistic is ||U'1||^2
+    The linear null is fitted to the panel and hands over its weights at
+    theta_hat (quasi-Poisson Y/lam - 1 and Y/lam^2 for counts, residuals
+    and unit curvature for continuous panels) and its linear block, the
+    (1, X, Y) stack with its scores and curvature, all shared across grid
+    points (see lintest._null_design).  Each point's statistic is ||U'1||^2
     from the SVD of its effective scores E = U S V', whose outer product
     is the score covariance.  Degenerate grid points (vanishing or
     collinear nonlinear regressors, subnormal or singular covariance) are
@@ -222,16 +221,13 @@ def lm_profile(panel: Panel, net: Network, family: str, grid: GammaGrid,
     if panel.t - 1 <= k2:
         raise ValueError(f"the {family} profile needs T >= {k2 + 2}, got T = {panel.t}")
     null_fit = _null_design(panel, net, domain)
-    _, y_lag, x_lag = null_fit.design
-    if family == "tnar":
-        s1, h11, ok, s2, h12 = _tnar_blocks(grid.values, x_lag, y_lag, *null_fit.weights)
-    else:
-        s1, h11 = null_fit.scores, null_fit.hessian
-        ok, s2, h12 = _column_blocks(
-            null_fit, (_h_columns("stnar", g, x_lag, y_lag)[0] for g in grid.values))
+    _, x_lag, y_lag = null_fit.stack
+    ok, s2, h12 = (
+        _tnar_blocks(grid.values, x_lag, y_lag, *null_fit.weights) if family == "tnar" else
+        _column_blocks(null_fit, (_h_columns("stnar", g, x_lag, y_lag)[0] for g in grid.values)))
     why = np.where(ok, "", "degenerate nonlinear regressors").astype(object)
     try:
-        effective = s2[ok] - s1 @ np.linalg.solve(h11, h12[ok])
+        effective = s2[ok] - null_fit.scores @ np.linalg.solve(null_fit.hessian, h12[ok])
     except np.linalg.LinAlgError:                   # H11 is shared: every point fails
         why[ok] = "singular linear-block curvature"
     else:

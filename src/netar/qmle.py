@@ -56,11 +56,10 @@ _CURV_BLOCK = 1 << 13  # cells per column block of the curvature sum
 class FitResult:
     """qmle_fit's estimate, curvature matrices and sandwich standard errors
     (method "OLS", sigma2_hat = RSS/n for least squares), and what the tests
-    read (not in to_dict): the lagged design (y_now, y_lag, x_lag), the
-    score and curvature weights at theta_hat (None: unit curvature), the
-    (m, N, T-1) derivative stack there ((1, X, Y) for the linear null) and
-    its (T-1) x m per-time scores, whose curvature is hessian and whose
-    outer product is opg."""
+    read (not in to_dict): the score and curvature weights at theta_hat
+    (None: unit curvature), the (m, N, T-1) derivative stack there, the
+    linear null's (1, X, Y) the only copy of X and Y, and its (T-1) x m
+    per-time scores, whose curvature is hessian and outer product opg."""
 
     theta_hat: np.ndarray
     loglik: float
@@ -77,7 +76,6 @@ class FitResult:
     sigma2_hat: Optional[float] = None
     jitter_applied: int = 0
     n_obs: int = 0
-    design: Optional[tuple] = None
     weights: Optional[tuple] = None
     stack: Optional[np.ndarray] = None
     scores: Optional[np.ndarray] = None
@@ -231,6 +229,7 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
         raise ValueError("least squares needs T >= 3")
     lin = np.empty((3, *x_lag.shape))
     lin[0], lin[1], lin[2] = 1.0, x_lag, y_lag
+    x_lag, y_lag = lin[1], lin[2]       # the stack holds X and Y once, in contiguous rows
     n_obs = y_now.size
     s_y, gram = _score_parts(lin, y_now)
     gram_inv = _gram_inverse(gram)      # the rank rule of both domains
@@ -304,7 +303,7 @@ def qmle_fit(panel: Panel, net: Network, spec: ModelSpec, theta0=None) -> FitRes
         opg=opg, cov=cov, se=se, iterations=iters, converged=converged,
         method="QMLE" if count else "OLS", family=spec.family, domain=spec.domain,
         sigma2_hat=None if count else -2.0 * ll / n_obs,
-        jitter_applied=jitter_total + jitter, n_obs=n_obs, design=(y_now, y_lag, x_lag),
+        jitter_applied=jitter_total + jitter, n_obs=n_obs,
         weights=buffers if count else (resid, None), stack=cols, scores=s_t)
 
 

@@ -102,6 +102,9 @@ class Scenario:
         if test["kind"] == "davies" and test["alt"] == "tnar":
             raise ValueError("the Davies bound needs a smooth nuisance rate: "
                              "test the tnar alternative with kind 'bootstrap'")
+        if test["kind"] == "davies" and test["agg"] != "sup":
+            raise ValueError("the Davies bound is for the supremum: "
+                             "test the 'ave' functional with kind 'bootstrap'")
         for key, value in (("n", self.n), ("reps", self.reps), ("test J", test["J"])):
             if not isinstance(value, Integral) or value < 1:
                 raise ValueError(f"{key} must be a positive integer, got {value!r}")
@@ -232,11 +235,11 @@ def _worker(args):
 
 def run_mc_study(cfg: StudyConfig, threads: int = 1):
     """Run every scenario; returns (rows, raw) where raw maps scenario name
-    to the per-replication statistic draws (for QQ-style diagnostics).
+    to each replication's statistic, NaN where it failed (QQ diagnostics).
 
-    Failed replications are excluded and counted; a scenario aborts if more
-    than 1 percent fail, counting them by exception type with the first
-    message of each.  threads is the worker count, a positive integer (1
+    Failed replications are left out of the rates and counted; a scenario
+    aborts if more than 1 percent fail, counting them by exception type with
+    the first message of each.  threads is the worker count, a positive integer (1
     runs in this process).
     """
     if not isinstance(threads, Integral) or threads < 1:
@@ -249,10 +252,9 @@ def run_mc_study(cfg: StudyConfig, threads: int = 1):
         tasks = [(sc, net, cfg.base_seed, s_idx, r) for r in range(sc.reps)]
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                outs = list(pool.map(_worker, tasks, chunksize=4))
+                outs = list(pool.map(_worker, tasks, chunksize=4))  # in replication order
         else:
             outs = [_worker(task) for task in tasks]
-        results = [out for out, err in outs if err is None]  # map keeps replication order
         errors = [err for _, err in outs if err is not None]
 
         if len(errors) > sc.reps * 0.01:
@@ -262,14 +264,14 @@ def run_mc_study(cfg: StudyConfig, threads: int = 1):
             raise RuntimeError(
                 f"scenario {sc.name!r}: {len(errors)}/{sc.reps} replications failed: "
                 + "; ".join(f"{kind} x{n} (first: {msg})" for kind, (n, msg) in by_type.items()))
-        pvals = np.array([p for p, _ in results])
-        raw[sc.name] = np.array([stat for _, stat in results])
+        pvals = np.array([out[0] for out, err in outs if err is None])
+        raw[sc.name] = np.array([np.nan if err else out[1] for out, err in outs])
         elapsed = time.perf_counter() - start
         for level in sc.levels:
             rate = float(np.mean(pvals <= level))
-            se = float(np.sqrt(rate * (1.0 - rate) / len(results)))
+            se = float(np.sqrt(rate * (1.0 - rate) / pvals.size))
             rows.append(StudyRow(sc.name, float(level), rate, se,
-                                 len(results), len(errors), elapsed))
+                                 pvals.size, len(errors), elapsed))
     return rows, raw
 
 
@@ -335,10 +337,10 @@ def emit_report(rows, path, fmt: str = "csv", meta: Optional[dict] = None) -> No
 
 
 def write_raw_draws(raw: dict, path) -> None:
-    """One (scenario, replication, statistic) row per draw."""
+    """One (scenario, replication, statistic) row per completed replication."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario", "rep", "statistic"])
         for name in raw:
-            for r, value in enumerate(raw[name]):
-                writer.writerow([name, r, repr(float(value))])
+            for r in np.flatnonzero(~np.isnan(raw[name])):
+                writer.writerow([name, r, repr(float(raw[name][r]))])

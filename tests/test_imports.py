@@ -6,8 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import netar
 from netar import qmle
+from netar.lintest import lm_test
+from netar.model import ModelSpec
+from netar.nuisance import default_grid, lm_profile
 
 
 def test_import_loads_only_the_sparse_and_special_scipy_subpackages():
@@ -45,3 +50,26 @@ def test_only_qmle_binds_the_weights():
             names = vars(importlib.import_module(f"netar.{info.name}"))
             assert "_weights" not in names, info.name
             assert not any(v is qmle._weights for v in names.values()), info.name
+
+
+@pytest.mark.filterwarnings("ignore:dropped")
+@pytest.mark.parametrize("domain", ["count", "cont"])
+def test_each_linearity_test_builds_the_lagged_design_once(monkeypatch, request, small_net,
+                                                           domain):
+    # the null fit builds the design and holds X and Y in its (1, X, Y) stack, so
+    # the drift test and both profiles (given a grid) build it nowhere else
+    panel = request.getfixturevalue(f"{domain}_panel")
+    grids = {f: default_grid(f, panel, small_net) for f in ("stnar", "tnar")}
+    design, calls = qmle.lagged_design, []
+
+    def counted(*args):
+        calls.append(args)
+        return design(*args)
+
+    monkeypatch.setattr(qmle, "lagged_design", counted)
+    lm_test(panel, small_net, ModelSpec.drift((1.0, 0.2, 0.2), 0.0, domain))
+    assert len(calls) == 1
+    for family, grid in grids.items():
+        calls.clear()
+        lm_profile(panel, small_net, family, grid, domain)
+        assert len(calls) == 1, family

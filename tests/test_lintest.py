@@ -371,7 +371,7 @@ def test_sigma_matches_long_double_outer_product(small_net, count_panel, cont_pa
     grid = np.array([0.5 * (cells[-5] + cells[-4])])
     prof = lm_profile(count_panel, small_net, "tnar", GammaGrid(grid), "count")
     lam = mean_elementwise(ModelSpec.linear(prof.null_fit.theta_hat, "count"), x_lag, y_lag)
-    s1, h11, _, s2, h12 = _tnar_blocks(grid, x_lag, y_lag, *qmle._weights("count", y_now, lam))
-    sigma, total = _long_double_sigma(s1, h11, s2[0], h12[0])
+    _, s2, h12 = _tnar_blocks(grid, x_lag, y_lag, *qmle._weights("count", y_now, lam))
+    sigma, total = _long_double_sigma(prof.null_fit.scores, prof.null_fit.hessian, s2[0], h12[0])
     lm = total @ _solve_ld(sigma, total[:, None])[:, 0]
     assert abs(prof.lm[0] - lm) <= 1e-11 * lm

@@ -149,10 +149,15 @@ def test_row_blocks_equal_the_one_pass_oracle(small_net, request, case, blocks, 
     else:
         resid, curf = y_now - lam, None
     got = _tnar_blocks(grid, x, y, resid, curf)
-    want = tnar_sums(grid, x, y, resid, curf)
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-    ok = got[2]
+    s1, h11, *want = tnar_sums(grid, x, y, resid, curf)
+    assert len(got) == 3 and all(np.array_equal(a, b) for a, b in zip(got, want))
+    ok = got[0]
     assert not ok[0] and not ok[-1] and ok.any()
+    # the profile reads the linear block from the null fit instead: the shared
+    # kernel's on the (1, X, Y) stack, which the last bin's sums equal to rounding
+    s_t, hess = _score_parts(np.stack([np.ones_like(x), x, y]), resid, curf)
+    assert np.allclose(s1, s_t, rtol=0, atol=1e-12 * np.abs(s_t).max())
+    assert np.allclose(h11, hess, rtol=0, atol=1e-12 * np.abs(hess).max())
 
 
 def test_tnar_pass_forms_no_panel_sized_array():
@@ -176,6 +181,27 @@ def test_tnar_pass_forms_no_panel_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def test_tnar_profile_holds_x_and_y_once():
+    # N=500, T=400: one float array of the 199 500 cells is 1.596 MB.  The peak
+    # falls inside a Newton step of the null fit, where these stay live: the
+    # (1, X, Y) stack (3 arrays), the two weight buffers (2), the mean at the
+    # iterate (1), and the candidate's mean with one temporary of its product or
+    # its log (2).  That is 8 arrays, 12.8 MB (12.86 MB measured with numpy
+    # 2.4); the tnar pass after the fit adds under 0.9 MB to the 5 the fit
+    # hands over.  A lagged X held beside the stack's copy makes 9 (14.46 MB),
+    # so the bound is 8.5 arrays.
+    net = na.gen_sbm(500, 5, seed=500)
+    panel, _ = _lagged_panel(net, 399, "count")
+    grid = default_grid("tnar", panel, net)
+    tracemalloc.start()
+    try:
+        lm_profile(panel, net, "tnar", grid, "count")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * 500 * 399 * 8
 
 
 @pytest.mark.filterwarnings("ignore:dropped .* threshold grid point")
@@ -419,7 +445,8 @@ def test_ill_conditioned_tnar_point_matches_exact_lm(small_net, cont_panel):
     assert np.array_equal(prof.grid, grid.values)
     y_now, y_lag, x_lag = lagged_design(cont_panel, small_net)
     lam = mean_elementwise(ModelSpec.linear(prof.null_fit.theta_hat, "cont"), x_lag, y_lag)
-    s1, h11, _, s2, h12 = _tnar_blocks(grid.values, x_lag, y_lag, y_now - lam, None)
+    _, s2, h12 = _tnar_blocks(grid.values, x_lag, y_lag, y_now - lam, None)
+    s1, h11 = prof.null_fit.scores, prof.null_fit.hessian
     effective = s2 - s1 @ np.linalg.solve(h11, h12)
     assert np.linalg.cond(effective[-1]) ** 2 > 1e10
     lm = _exact_lm(effective[-1])

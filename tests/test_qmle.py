@@ -368,23 +368,25 @@ def test_fits_hand_over_their_design_and_fitted_mean(small_net, count_panel, con
     fits.append((cont_panel, ModelSpec.linear((0.0, 0.0, 0.0), "cont"),
                  ols_fit_linear(cont_panel, small_net)))
     for panel, spec, fit in fits:
-        y_now, y_lag, x_lag = design = lagged_design(panel, small_net)
-        assert all(np.array_equal(a, b) for a, b in zip(fit.design, design))
+        y_now, y_lag, x_lag = lagged_design(panel, small_net)
+        # the stack's first three rows are (1, X, Y): the fit holds X and Y there only
+        assert np.array_equal(fit.stack[1], x_lag) and np.array_equal(fit.stack[2], y_lag)
+        assert not hasattr(fit, "design")
         lam = mean_elementwise(spec.with_active(fit.theta_hat), x_lag, y_lag)
         want = _weights(spec.domain, y_now, lam)
         assert np.array_equal(fit.weights[0], want[0])
         assert fit.weights[1] is want[1] is None or np.array_equal(fit.weights[1], want[1])
-        assert not {"design", "weights"} & fit.to_dict().keys()
+        assert not {"stack", "weights"} & fit.to_dict().keys()
 
 
 def test_null_fits_hand_over_their_linear_block(small_net, count_panel, cont_panel):
-    # the stnar profile reads the (1, X, Y) stack, its per-time scores at the
+    # every linearity test reads the (1, X, Y) stack, its per-time scores at the
     # fitted mean and their curvature from the null fit, so each must be the
-    # shared kernel's on the fit's design with the fit's weights, bit for bit
+    # shared kernel's on the lagged design with the fit's weights, bit for bit
     fits = (qmle_fit(count_panel, small_net, ModelSpec.linear((1.0, 0.2, 0.2), "count")),
             ols_fit_linear(cont_panel, small_net))
-    for fit in fits:
-        y_now, y_lag, x_lag = fit.design
+    for panel, fit in zip((count_panel, cont_panel), fits):
+        _, y_lag, x_lag = lagged_design(panel, small_net)
         assert np.array_equal(fit.stack, np.stack([np.ones_like(x_lag), x_lag, y_lag]))
         s_t, hess = _score_parts(fit.stack, *fit.weights)
         assert np.array_equal(fit.scores, s_t)

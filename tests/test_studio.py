@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import netar as na
+from netar import studio
 from netar.dgp import Panel
 from netar.nuisance import run_profile_test
 from netar.studio import (Scenario, StudyConfig, emit_report, load_panel_csv,
@@ -137,6 +138,29 @@ def test_redraw_study_holds_one_network_at_a_time():
     assert rows[0].reps_used == 200 and raw["tiny"].shape == (200,)
 
 
+def test_raw_draws_keep_the_replication_index(monkeypatch, tmp_path):
+    # one failure in 101 replications stays under the 1 percent abort rule; the
+    # draws after it keep their own replication's index
+    run = studio._run_replication
+
+    def fail_once(sc, net, base_seed, s_idx, rep):
+        if rep == 1:
+            raise RuntimeError("replication 1 fails")
+        return run(sc, net, base_seed, s_idx, rep)
+
+    _, clean = run_mc_study(_tiny_cfg(reps=3))
+    monkeypatch.setattr(studio, "_run_replication", fail_once)
+    rows, raw = run_mc_study(_tiny_cfg(reps=101))
+    assert rows[0].reps_used == 100 and rows[0].failures == 1
+    assert raw["tiny"].shape == (101,) and np.isnan(raw["tiny"][1])
+    write_raw_draws(raw, tmp_path / "draws.csv")
+    with open(tmp_path / "draws.csv") as fh:
+        written = list(csv.DictReader(fh))
+    assert [int(row["rep"]) for row in written] == [0, *range(2, 101)]
+    assert [float(row["statistic"]) for row in written[:2]] == [clean["tiny"][0],
+                                                                 clean["tiny"][2]]
+
+
 def test_unknown_scenario_field_rejected():
     with pytest.raises(ValueError, match="unknown scenario fields"):
         Scenario.from_dict({"name": "x", "network": {}, "n": 5, "t": 5,
@@ -227,6 +251,7 @@ def test_bad_init_or_copula_rejected_before_simulation(extra, match, monkeypatch
     ({"t": True}, "T must be an integer, got True"),
     ({"burn_in": 2.5}, "burn_in must be an integer, got 2.5"),
     ({"burn_in": False}, "burn_in must be an integer, got False"),
+    ({"test": {"kind": "davies", "agg": "ave"}}, "the Davies bound is for the supremum"),
 ])
 @pytest.mark.parametrize("build", ["from_dict", "direct"])
 def test_bad_setting_rejected_when_the_scenario_is_built(extra, match, build, monkeypatch):
